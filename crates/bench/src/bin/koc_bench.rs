@@ -7,8 +7,6 @@
 //! koc-bench harness --list                    # canonical workload names
 //! koc-bench harness --only gather             # one workload only
 //! koc-bench harness --engine cooo             # one commit engine only
-//! koc-bench harness --source streamed         # lazy O(window) ingestion
-//! koc-bench harness --quick --grid 16         # lockstep vs per-config sweep
 //! koc-bench trace --workload gather --format kanata   # pipeline event trace
 //! koc-bench timeline --workload gather --interval 256  # interval time-series
 //! koc-bench compare --baseline bench/baseline.json --current fresh.json
@@ -20,13 +18,11 @@
 //! `harness` prints the human-readable table and writes the JSON report;
 //! `compare` exits non-zero on any threshold violation (CI's regression
 //! gate: cycle drift is an accuracy bug, wall-clock drift a perf one).
-//! Streamed and materialized harness runs must agree cycle for cycle, so
-//! CI cross-compares one against the other.
 
 use koc_bench::harness::{self, CompareThresholds, HarnessOptions};
 use koc_isa::json::{parse_json, Json};
 use koc_obs::{timeline_json, CycleAccounting, PipelineTracer, TimelineRecorder};
-use koc_sim::{Processor, SourceMode};
+use koc_sim::Processor;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -34,8 +30,6 @@ use std::process::ExitCode;
 fn print_usage() {
     eprintln!("usage: koc-bench harness [--quick|--full] [--out PATH] [--list]");
     eprintln!("                         [--only WORKLOAD] [--engine baseline|cooo]");
-    eprintln!("                         [--source streamed|materialized]");
-    eprintln!("                         [--grid N]   (lockstep vs per-config over N configs)");
     eprintln!("       koc-bench stats [--workload NAME] [--engine baseline|cooo] [--full]");
     eprintln!("       koc-bench trace [--workload NAME] [--engine baseline|cooo] [--len N]");
     eprintln!("                       [--format ptrace|kanata] [--out PATH]");
@@ -71,21 +65,12 @@ fn run_harness(args: &[String]) -> ExitCode {
         ..HarnessOptions::default()
     };
     let mut out: Option<PathBuf> = None;
-    let mut grid: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => {
                 options.quick = true;
                 i += 1;
-            }
-            "--grid" => {
-                let Some(n) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    eprintln!("--grid requires a lane count (e.g. --grid 16)");
-                    return ExitCode::FAILURE;
-                };
-                grid = Some(n);
-                i += 2;
             }
             "--full" => {
                 options.quick = false;
@@ -113,17 +98,6 @@ fn run_harness(args: &[String]) -> ExitCode {
                 options.engine = Some(name.clone());
                 i += 2;
             }
-            "--source" => {
-                options.source = match args.get(i + 1).map(String::as_str) {
-                    Some("streamed") => SourceMode::Streamed,
-                    Some("materialized") => SourceMode::Materialized,
-                    other => {
-                        eprintln!("--source requires 'streamed' or 'materialized', got {other:?}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                i += 2;
-            }
             "--out" => {
                 let Some(path) = args.get(i + 1) else {
                     eprintln!("--out requires a path");
@@ -139,27 +113,12 @@ fn run_harness(args: &[String]) -> ExitCode {
             }
         }
     }
-    let report = match grid {
-        // Grid runs hard-check lockstep-vs-per-config identity in-process:
-        // any statistics drift between the modes comes back as Err here
-        // and exits non-zero (CI's batching-correctness gate).
-        Some(lanes) => match harness::run_grid_with(&options, lanes) {
-            Ok((report, summary)) => {
-                println!("{}", koc_bench::report::grid_table(&summary));
-                report
-            }
-            Err(e) => {
-                eprintln!("harness: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match harness::run_with(&options) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("harness: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let report = match harness::run_with(&options) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("harness: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     println!("{}", report.to_table());
     let path = out.unwrap_or_else(|| harness::next_bench_path(std::path::Path::new(".")));

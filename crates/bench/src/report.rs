@@ -213,36 +213,6 @@ pub fn stats_table(title: impl Into<String>, stats: &SimStats) -> Report {
     report
 }
 
-/// The aggregate figures of a `--grid` harness run as a rendered
-/// [`Report`]: both execution modes side by side plus the speedup. Every
-/// public field of [`GridSummary`](crate::harness::GridSummary) has a row
-/// here (enforced by the `stats-coverage` lint rule, like [`stats_rows`]).
-pub fn grid_table(summary: &crate::harness::GridSummary) -> Report {
-    let mut report = Report::new(
-        format!(
-            "grid — {} lanes x {} workloads, lockstep vs per-config",
-            summary.lanes, summary.workloads
-        ),
-        &["mode", "wall (s)", "aggregate Mcyc/s"],
-    );
-    report.push_row(vec![
-        "per-config".to_string(),
-        format!("{:.3}", summary.per_config_wall_seconds),
-        format!("{:.2}", summary.per_config_mcycles_per_sec),
-    ]);
-    report.push_row(vec![
-        "lockstep".to_string(),
-        format!("{:.3}", summary.lockstep_wall_seconds),
-        format!("{:.2}", summary.lockstep_mcycles_per_sec),
-    ]);
-    report.push_note(format!(
-        "lockstep speedup: {:.2}x aggregate simulated-cycle throughput",
-        summary.speedup
-    ));
-    report.push_note("per-lane statistics are bit-identical between modes (hard-checked)");
-    report
-}
-
 /// Every public field of [`CycleBuckets`] — the top-down cycle-accounting
 /// result — as `(bucket, formatted value)` rows, each with its share of the
 /// total. Anchored by the `stats-coverage` lint rule exactly like

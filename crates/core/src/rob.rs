@@ -89,12 +89,33 @@ impl ReorderBuffer {
         if !self.has_space() {
             return Err(RobFull);
         }
+        debug_assert!(
+            self.entries
+                .back()
+                .is_none_or(|tail| tail.inst < entry.inst),
+            "ROB entries are allocated in program order"
+        );
         self.entries.push_back(entry);
         Ok(())
     }
 
     /// Marks an instruction as finished (write-back).
     pub fn mark_finished(&mut self, inst: InstId) {
+        // Entries hold consecutive ids in program order (dispatch appends
+        // the next fetched id; a squash pops everything above the boundary
+        // and fetch resumes right after it), so an entry sits at its id's
+        // offset from the head. The scan below only runs for ids no longer
+        // in the buffer.
+        let offset = self
+            .entries
+            .front()
+            .and_then(|head| inst.checked_sub(head.inst));
+        if let Some(e) = offset.and_then(|i| self.entries.get_mut(i)) {
+            if e.inst == inst {
+                e.finished = true;
+                return;
+            }
+        }
         if let Some(e) = self.entries.iter_mut().rev().find(|e| e.inst == inst) {
             e.finished = true;
         }
@@ -224,6 +245,28 @@ mod tests {
         assert_eq!(ids, vec![4, 3]);
         assert_eq!(rob.len(), 3);
         assert_eq!(rob.head_inst(), Some(0));
+    }
+
+    #[test]
+    fn mark_finished_finds_refetched_entries_and_ignores_gone_ones() {
+        let mut rob = ReorderBuffer::new(8);
+        for i in 10..16 {
+            rob.push(entry(i)).unwrap();
+        }
+        rob.mark_finished(10);
+        rob.commit(1);
+        rob.squash_younger_than(12);
+        for i in 13..15 {
+            rob.push(entry(i)).unwrap();
+        }
+        rob.mark_finished(14);
+        rob.mark_finished(15); // squashed and not refetched
+        rob.mark_finished(10); // already committed
+        let finished: Vec<_> = rob.iter().map(|e| (e.inst, e.finished)).collect();
+        assert_eq!(
+            finished,
+            vec![(11, false), (12, false), (13, false), (14, true)]
+        );
     }
 
     #[test]

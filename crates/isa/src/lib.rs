@@ -48,7 +48,6 @@ pub use inst::{BranchInfo, Instruction, MemAccess};
 pub use op::{FuClass, OpKind, OpLatency};
 pub use reg::{ArchReg, PhysReg, RegClass, RegList, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};
 pub use source::{
-    ForkMonitor, InstructionSource, IntoInstructionSource, LaneSource, MaterializedTrace,
-    ReplayWindow, SourceExt, StreamFork,
+    InstructionSource, IntoInstructionSource, MaterializedTrace, ReplayWindow, SourceExt,
 };
 pub use trace::{InstId, Trace, TraceCursor};

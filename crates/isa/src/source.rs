@@ -42,7 +42,6 @@
 use crate::inst::Instruction;
 use crate::trace::{InstId, Trace};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// A producer of dynamic instructions, pulled one at a time.
 ///
@@ -331,239 +330,6 @@ impl std::fmt::Debug for ReplayWindow<'_> {
             .field("peak", &self.peak)
             .field("ended", &self.ended)
             .finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Multi-reader fork
-// ---------------------------------------------------------------------
-
-/// Shared state behind a [`StreamFork`]: one underlying source, one buffer,
-/// and a fetch cursor per lane.
-///
-/// The buffer retains exactly the span between the *fork frontier* (the
-/// minimum lane position — released below it, the multi-reader
-/// generalization of [`ReplayWindow::release_to`]) and the furthest
-/// position any lane has pulled. Lanes that fetch at similar rates keep the
-/// span — and therefore memory — bounded by their skew, independent of
-/// stream length.
-struct ForkState<'a> {
-    source: Box<dyn InstructionSource + Send + 'a>,
-    buf: VecDeque<Instruction>,
-    /// Stream position of `buf[0]` (== the fork frontier, min over lanes).
-    base: InstId,
-    /// Per-lane stream position of the next instruction to deliver.
-    pos: Vec<InstId>,
-    ended: bool,
-    peak: usize,
-    /// Captured once at fork time so every lane reports the same hint
-    /// without re-querying the (shared, mutating) source.
-    len_hint: Option<usize>,
-}
-
-/// Instructions a lane copies out of the shared fork per lock acquisition.
-/// Batching amortizes the mutex hop and the O(lanes) frontier scan from
-/// per-instruction to per-batch; the price is that the shared buffer's
-/// occupancy bound grows from O(lane skew) to O(lane skew + `LANE_BATCH`),
-/// still independent of stream length.
-pub const LANE_BATCH: usize = 32;
-
-impl ForkState<'_> {
-    /// Copies up to `max` instructions from `lane`'s cursor into `out`,
-    /// pulling the underlying source when the lane is at the fetch head,
-    /// then releases the buffer below the new minimum lane position (the
-    /// fork frontier rule) — once per batch, not per instruction.
-    fn fill_for(&mut self, lane: usize, out: &mut Vec<Instruction>, max: usize) {
-        for _ in 0..max {
-            let p = self.pos[lane];
-            if p >= self.base + self.buf.len() {
-                if self.ended {
-                    break;
-                }
-                match self.source.next_inst() {
-                    Some(inst) => {
-                        self.buf.push_back(inst);
-                        self.peak = self.peak.max(self.buf.len());
-                    }
-                    None => {
-                        self.ended = true;
-                        break;
-                    }
-                }
-            }
-            out.push(self.buf[p - self.base]);
-            self.pos[lane] = p + 1;
-        }
-        let min = self.pos.iter().copied().min().unwrap_or(self.base);
-        while self.base < min {
-            self.buf.pop_front();
-            self.base += 1;
-        }
-    }
-}
-
-/// Splits one [`InstructionSource`] into N identical per-lane streams that
-/// are fetched **once** from the underlying source — the decode-once,
-/// simulate-many seam used by lockstep sweeps.
-///
-/// Every lane sees the exact same instruction sequence the undivided source
-/// would have produced (instructions are `Copy`; delivery order across
-/// lanes cannot alter content), so per-lane simulation results are
-/// bit-identical to solo runs by construction. Lanes read ahead in
-/// [`LANE_BATCH`]-instruction batches (one lock per batch); the shared
-/// buffer holds the span between the slowest and fastest lane cursor, so
-/// the driver bounds memory to O(skew + batch), not O(stream), by bounding
-/// the skew (e.g. lockstep chunking).
-///
-/// Lane handles are `Send` (the shared state sits behind a mutex), so lanes
-/// may be driven from different threads, though the intended consumer — the
-/// lockstep executor — drives them round-robin on one thread.
-pub struct StreamFork;
-
-impl StreamFork {
-    /// Forks `source` into `lanes` independent readers.
-    ///
-    /// With `lanes == 0` the source is dropped and no readers exist; with
-    /// `lanes == 1` the single lane behaves exactly like the undivided
-    /// source (plus a mutex hop per instruction).
-    pub fn split<'a>(source: impl IntoInstructionSource<'a>, lanes: usize) -> Vec<LaneSource<'a>> {
-        if lanes == 0 {
-            return Vec::new();
-        }
-        let source = source.into_source();
-        let name = source.name().to_string();
-        let len_hint = source.len_hint();
-        let state = Arc::new(Mutex::new(ForkState {
-            source,
-            buf: VecDeque::new(),
-            base: 0,
-            pos: vec![0; lanes],
-            ended: false,
-            peak: 0,
-            len_hint,
-        }));
-        (0..lanes)
-            .map(|lane| LaneSource {
-                state: Arc::clone(&state),
-                lane,
-                name: name.clone(),
-                local: Vec::with_capacity(LANE_BATCH),
-                cursor: 0,
-            })
-            .collect()
-    }
-}
-
-/// One reader of a [`StreamFork`]: a plain [`InstructionSource`] delivering
-/// the forked stream from this lane's own cursor.
-pub struct LaneSource<'a> {
-    state: Arc<Mutex<ForkState<'a>>>,
-    lane: usize,
-    name: String,
-    /// Instructions staged out of the shared buffer, delivered before the
-    /// next lock acquisition (see [`LANE_BATCH`]).
-    local: Vec<Instruction>,
-    cursor: usize,
-}
-
-impl<'a> LaneSource<'a> {
-    /// High-water mark of the *shared* fork buffer — the largest
-    /// slowest-to-fastest lane skew observed, in instructions. The same
-    /// value is visible from every lane of the fork.
-    pub fn shared_peak(&self) -> usize {
-        self.lock().peak
-    }
-
-    /// Instructions currently buffered in the shared fork window.
-    pub fn shared_occupancy(&self) -> usize {
-        self.lock().buf.len()
-    }
-
-    /// This lane's stream position (the [`InstId`] of the next instruction
-    /// it will deliver — instructions staged in the local batch but not yet
-    /// delivered do not count).
-    pub fn position(&self) -> InstId {
-        self.lock().pos[self.lane] - (self.local.len() - self.cursor)
-    }
-
-    /// A passive handle onto the fork's shared buffer, for drivers that
-    /// hand their lanes away (e.g. into processors) but still want to
-    /// report the fork's memory high-water mark afterwards. Monitors never
-    /// hold a lane cursor, so they do not pin the fork frontier.
-    pub fn monitor(&self) -> ForkMonitor<'a> {
-        ForkMonitor {
-            state: Arc::clone(&self.state),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ForkState<'a>> {
-        // koc-lint: allow(panic, "poisoning is unreachable: no code path panics while holding the fork lock")
-        self.state.lock().expect("fork lock poisoned")
-    }
-}
-
-impl InstructionSource for LaneSource<'_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next_inst(&mut self) -> Option<Instruction> {
-        if self.cursor == self.local.len() {
-            self.cursor = 0;
-            let Self {
-                state, lane, local, ..
-            } = self;
-            local.clear();
-            // koc-lint: allow(panic, "poisoning is unreachable: no code path panics while holding the fork lock")
-            let mut fork = state.lock().expect("fork lock poisoned");
-            fork.fill_for(*lane, local, LANE_BATCH);
-        }
-        let inst = self.local.get(self.cursor).copied()?;
-        self.cursor += 1;
-        Some(inst)
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        self.lock().len_hint
-    }
-}
-
-impl std::fmt::Debug for LaneSource<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LaneSource")
-            .field("name", &self.name)
-            .field("lane", &self.lane)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Read-only view of a [`StreamFork`]'s shared buffer: see
-/// [`LaneSource::monitor`].
-#[derive(Clone)]
-pub struct ForkMonitor<'a> {
-    state: Arc<Mutex<ForkState<'a>>>,
-}
-
-impl ForkMonitor<'_> {
-    /// High-water mark of the shared fork buffer, in instructions.
-    pub fn peak(&self) -> usize {
-        // koc-lint: allow(panic, "poisoning is unreachable: no code path panics while holding the fork lock")
-        self.state.lock().expect("fork lock poisoned").peak
-    }
-
-    /// Instructions currently buffered in the shared fork window.
-    pub fn occupancy(&self) -> usize {
-        // koc-lint: allow(panic, "poisoning is unreachable: no code path panics while holding the fork lock")
-        self.state.lock().expect("fork lock poisoned").buf.len()
-    }
-}
-
-impl std::fmt::Debug for ForkMonitor<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ForkMonitor")
-            .field("occupancy", &self.occupancy())
-            .field("peak", &self.peak())
-            .finish()
     }
 }
 
@@ -1050,99 +816,6 @@ mod tests {
         let insts = drain(s);
         assert_eq!(insts.len(), 9);
         assert!(insts.iter().all(|i| i.kind == OpKind::IntAlu));
-    }
-
-    #[test]
-    fn fork_lanes_each_see_the_whole_stream() {
-        let t = numbered("t", 20);
-        let lanes = StreamFork::split(&t, 3);
-        assert_eq!(lanes.len(), 3);
-        for lane in lanes {
-            assert_eq!(lane.name(), "t");
-            assert_eq!(lane.len_hint(), Some(20));
-            let insts = drain(lane);
-            assert_eq!(insts.len(), 20);
-            for (i, inst) in insts.iter().enumerate() {
-                assert_eq!(*inst, t[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn fork_frontier_releases_below_the_minimum_lane() {
-        let len = 400;
-        let t = numbered("t", len);
-        let mut lanes = StreamFork::split(&t, 2);
-        let (a, b) = {
-            let mut it = lanes.drain(..);
-            (it.next().unwrap(), it.next().unwrap())
-        };
-        let mut a = a;
-        let mut b = b;
-        // Round-robin with a delivered skew of at most 8: the shared buffer
-        // must track the skew plus the lanes' read-ahead batches, never the
-        // stream.
-        let bound = 8 + 4 + 2 * LANE_BATCH;
-        for round in 0..(len / 4) {
-            for _ in 0..4 {
-                a.next_inst();
-            }
-            assert!(
-                a.shared_occupancy() <= bound,
-                "occupancy {} at round {round} should be bounded by skew + batches",
-                a.shared_occupancy()
-            );
-            for _ in 0..4 {
-                b.next_inst();
-            }
-        }
-        assert!(a.next_inst().is_none() && b.next_inst().is_none());
-        assert!(
-            a.shared_peak() <= bound,
-            "peak {} must stay well below the {len}-instruction stream",
-            a.shared_peak()
-        );
-        assert_eq!(a.shared_occupancy(), 0, "fully drained fork is empty");
-    }
-
-    #[test]
-    fn fork_single_lane_matches_the_undivided_source() {
-        let t = numbered("t", 10);
-        let mut lanes = StreamFork::split(&t, 1);
-        let lane = lanes.pop().unwrap();
-        assert_eq!(lane.position(), 0);
-        let insts = drain(MaterializedTrace::new(&t));
-        let forked = {
-            let mut lanes = StreamFork::split(&t, 1);
-            drain(lanes.pop().unwrap())
-        };
-        assert_eq!(insts, forked);
-    }
-
-    #[test]
-    fn fork_zero_lanes_is_empty() {
-        let t = numbered("t", 4);
-        assert!(StreamFork::split(&t, 0).is_empty());
-    }
-
-    #[test]
-    fn fork_feeds_replay_windows_with_independent_rewinds() {
-        let t = numbered("t", 12);
-        let mut lanes = StreamFork::split(&t, 2);
-        let mut wb = ReplayWindow::new(lanes.pop().unwrap());
-        let mut wa = ReplayWindow::new(lanes.pop().unwrap());
-        for _ in 0..6 {
-            wa.next_inst();
-        }
-        for _ in 0..3 {
-            wb.next_inst();
-        }
-        wa.rewind_to(2);
-        let (id, inst) = wa.next_inst().unwrap();
-        assert_eq!((id, inst), (2, t[2]));
-        // Lane B's stream is unaffected by lane A's rewind.
-        let (id, inst) = wb.next_inst().unwrap();
-        assert_eq!((id, inst), (3, t[3]));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Hot-path reachability over the workspace [`CallGraph`]: seeds the graph
 //! from the `entry_points` declared in `lint.toml` (the per-cycle surface —
-//! `Processor::advance_until`, the `CommitEngine` per-cycle methods, the
-//! `MemoryBackend` request/tick/drain hooks, the `Observer` hooks, the
-//! lockstep scheduling loop) and propagates a *hot* mark through every
-//! resolved call edge.
+//! `Processor::advance_slice`, the `CommitEngine` per-cycle methods, the
+//! `MemoryBackend` request/tick/drain hooks, the `Observer` hooks) and
+//! propagates a *hot* mark through every resolved call edge.
 //!
 //! `cold_fns` entries are **cut points**: when the walk reaches a function
 //! whose name (or `Type::name` qualified form) is listed there, the

@@ -6,10 +6,9 @@
 //! A std-only TCP job server over the `koc-sim` session stack: clients
 //! submit (engine config, workload) jobs as newline-delimited
 //! `koc-serve/1` JSON; the server answers from a content-addressed
-//! crash-safe result cache when it can, batches compatible queued jobs
-//! into lockstep sweeps when it can't, and slices long solo runs through
-//! `Processor::advance_slice` so every job supports wall-clock deadlines,
-//! cooperative cancellation, and progress streaming.
+//! crash-safe result cache when it can, and otherwise runs the job sliced
+//! through `Processor::advance_slice` so every job supports wall-clock
+//! deadlines, cooperative cancellation, and progress streaming.
 //!
 //! The robustness machinery is the point (see `server.rs` for the
 //! invariants and `tests/service.rs` for their proofs): bounded queues

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! koc-serve --addr 127.0.0.1:7841 --cache-dir serve-cache \
-//!           [--workers N] [--queue-depth N] [--max-batch N] \
+//!           [--workers N] [--queue-depth N] \
 //!           [--slice-cycles N] [--read-timeout-ms N] [--write-timeout-ms N] \
 //!           [--fault-plan plan.json]
 //! ```
@@ -39,7 +39,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--queue-depth" => {
                 config.queue_depth = parse_num(&value("--queue-depth")?, "--queue-depth")?;
             }
-            "--max-batch" => config.max_batch = parse_num(&value("--max-batch")?, "--max-batch")?,
             "--slice-cycles" => {
                 config.slice_cycles = parse_num(&value("--slice-cycles")?, "--slice-cycles")?;
             }
@@ -62,7 +61,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: koc-serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N] \
-                     [--queue-depth N] [--max-batch N] [--slice-cycles N] \
+                     [--queue-depth N] [--slice-cycles N] \
                      [--read-timeout-ms N] [--write-timeout-ms N] [--fault-plan FILE]"
                 );
                 return Ok(());

@@ -120,19 +120,6 @@ impl JobSpec {
         })
     }
 
-    /// Whether this job may ride in a lockstep batch: batches share one
-    /// forked instruction stream and run without per-lane pacing, so only
-    /// plain compute-to-completion jobs qualify.
-    pub fn batchable(&self) -> bool {
-        self.deadline_ms.is_none() && !self.progress && !self.fresh
-    }
-
-    /// Whether another job can share a lockstep batch with this one (same
-    /// instruction stream; engine configuration may differ per lane).
-    pub fn shares_stream_with(&self, other: &JobSpec) -> bool {
-        self.workload == other.workload && self.trace_len == other.trace_len
-    }
-
     /// Encodes the spec as the `"job"` object of a submit request.
     pub fn encode(&self) -> String {
         let mut out = String::new();

@@ -4,8 +4,7 @@
 //! is *rejected immediately* (the server turns that into a 429-style
 //! `overloaded` response with a `Retry-After` hint) instead of queueing
 //! unbounded work the server cannot finish. Workers block on a condvar
-//! with a timeout so shutdown is prompt, and the batching path can pull
-//! every queued job matching a predicate in one critical section.
+//! with a timeout so shutdown is prompt.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -64,23 +63,6 @@ impl<T> BoundedQueue<T> {
         q.pop_front()
     }
 
-    /// Removes and returns every queued item matching `keep`, oldest
-    /// first, up to `limit` — the lockstep batch-formation primitive.
-    pub fn claim_matching(&self, limit: usize, mut keep: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut q = self.guard();
-        let mut taken = Vec::new();
-        let mut rest = VecDeque::with_capacity(q.len());
-        while let Some(item) = q.pop_front() {
-            if taken.len() < limit && keep(&item) {
-                taken.push(item);
-            } else {
-                rest.push_back(item);
-            }
-        }
-        *q = rest;
-        taken
-    }
-
     /// Items currently queued.
     pub fn depth(&self) -> usize {
         self.guard().len()
@@ -111,19 +93,6 @@ mod tests {
         assert_eq!(q.depth(), 2);
         assert_eq!(q.claim_timeout(0), Some(1));
         assert!(q.offer(3).is_ok());
-    }
-
-    #[test]
-    fn claim_matching_takes_only_matches_in_order() {
-        let q = BoundedQueue::bounded(8);
-        for i in 0..6 {
-            q.offer(i).unwrap();
-        }
-        let even = q.claim_matching(2, |i| i % 2 == 0);
-        assert_eq!(even, vec![0, 2]);
-        assert_eq!(q.depth(), 4);
-        let rest = q.claim_matching(usize::MAX, |_| true);
-        assert_eq!(rest, vec![1, 3, 4, 5]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The TCP job server: accept loop, per-connection protocol driver, and
-//! the worker pool that executes (or batches) simulation jobs.
+//! the worker pool that executes simulation jobs.
 //!
 //! Robustness invariants, each enforced by `tests/service.rs`:
 //! - **Bounded everything**: the job queue is a fixed-capacity
@@ -11,9 +11,8 @@
 //!   connection threads write with an OS-level write deadline and treat a
 //!   failed write as a cooperative cancel of the in-flight job.
 //! - **Worker panics are isolated**: job execution runs under
-//!   `catch_unwind`; a panic poisons only that job batch (each affected
-//!   job gets a structured `worker-panic` error) and the worker keeps
-//!   draining the queue.
+//!   `catch_unwind`; a panic poisons only that job (it gets a structured
+//!   `worker-panic` error) and the worker keeps draining the queue.
 //! - **Damaged cache entries are never served**: see `cache.rs`.
 
 use std::io::{Read, Write};
@@ -24,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use koc_sim::{LockstepSweep, Processor, SliceOutcome};
+use koc_sim::{Processor, SliceOutcome};
 
 use crate::cache::{Lookup, ResultCache};
 use crate::clock::{Duration, ServeClock};
@@ -64,9 +63,6 @@ pub struct ServerConfig {
     pub retry_after_ms: u64,
     /// Largest accepted `trace_len` (bigger submits are bad requests).
     pub max_trace_len: usize,
-    /// Largest lockstep batch formed from compatible queued jobs (1
-    /// disables batching).
-    pub max_batch: usize,
 }
 
 impl Default for ServerConfig {
@@ -80,7 +76,6 @@ impl Default for ServerConfig {
             slice_cycles: 100_000,
             retry_after_ms: 100,
             max_trace_len: 2_000_000,
-            max_batch: 8,
         }
     }
 }
@@ -510,8 +505,8 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Executes one claimed job: cache probe, batch formation, isolated
-/// execution, cache fill, response.
+/// Executes one claimed job: cache probe, isolated execution, cache fill,
+/// response.
 fn process_job(job: QueuedJob, shared: &Arc<Shared>) {
     if shared.plan.stall_worker.trip() {
         // Injected fault: a wedged worker (drives queue-overflow tests).
@@ -520,76 +515,38 @@ fn process_job(job: QueuedJob, shared: &Arc<Shared>) {
     let Some(job) = respond_if_cached(job, shared) else {
         return;
     };
-    let mut batch = vec![job];
-    if batch[0].spec.batchable() && shared.config.max_batch > 1 {
-        let anchor = batch[0].spec.clone();
-        let peers = shared
-            .queue
-            .claim_matching(shared.config.max_batch - 1, |j| {
-                j.spec.batchable() && j.spec.shares_stream_with(&anchor)
-            });
-        for peer in peers {
-            if let Some(peer) = respond_if_cached(peer, shared) {
-                batch.push(peer);
+    let response = match catch_unwind(AssertUnwindSafe(|| execute(&job, shared))) {
+        Ok(Ok(result)) => {
+            // A failed store is a miss next time, not an error now.
+            let _ = shared.cache.store(&job.spec.cache_key(), &result);
+            Response::Done {
+                cache_hit: false,
+                result,
             }
         }
-        if batch.len() > 1 {
-            shared.stats.record_batch(batch.len() as u64);
-        }
-    }
-    let outcomes = catch_unwind(AssertUnwindSafe(|| execute_batch(&batch, shared)));
-    match outcomes {
-        Ok(outcomes) => {
-            for (job, outcome) in batch.into_iter().zip(outcomes) {
-                match outcome {
-                    Ok(result) => {
-                        // A failed store is a miss next time, not an error
-                        // now.
-                        let _ = shared.cache.store(&job.spec.cache_key(), &result);
-                        finish(
-                            job,
-                            Response::Done {
-                                cache_hit: false,
-                                result,
-                            },
-                            shared,
-                        );
-                    }
-                    Err((kind, message)) => {
-                        shared.stats.bump(match kind {
-                            ErrorKind::Timeout => Counter::Timeout,
-                            ErrorKind::Cancelled => Counter::Cancelled,
-                            _ => Counter::BadRequest,
-                        });
-                        finish(
-                            job,
-                            Response::Error {
-                                kind,
-                                message,
-                                retry_after_ms: None,
-                            },
-                            shared,
-                        );
-                    }
-                }
+        Ok(Err((kind, message))) => {
+            shared.stats.bump(match kind {
+                ErrorKind::Timeout => Counter::Timeout,
+                ErrorKind::Cancelled => Counter::Cancelled,
+                _ => Counter::BadRequest,
+            });
+            Response::Error {
+                kind,
+                message,
+                retry_after_ms: None,
             }
         }
         Err(_panic) => {
-            // Panic isolation: the batch is poisoned, the server is not.
+            // Panic isolation: the job is poisoned, the server is not.
             shared.stats.bump(Counter::WorkerPanic);
-            for job in batch {
-                finish(
-                    job,
-                    Response::Error {
-                        kind: ErrorKind::WorkerPanic,
-                        message: "worker panicked while executing this job".to_string(),
-                        retry_after_ms: None,
-                    },
-                    shared,
-                );
+            Response::Error {
+                kind: ErrorKind::WorkerPanic,
+                message: "worker panicked while executing this job".to_string(),
+                retry_after_ms: None,
             }
         }
-    }
+    };
+    finish(job, response, shared);
 }
 
 /// Answers `job` straight from the cache when possible; `None` means it
@@ -633,54 +590,13 @@ fn finish(job: QueuedJob, resp: Response, shared: &Shared) {
 
 type Outcome = Result<JobResult, (ErrorKind, String)>;
 
-/// Runs a batch (1 lane = sliced solo run with deadline/cancel/progress;
-/// 2+ lanes = lockstep sweep). Runs under `catch_unwind`.
-fn execute_batch(batch: &[QueuedJob], shared: &Shared) -> Vec<Outcome> {
+/// Runs one job, sliced by `slice_cycles` so deadline, cancellation, and
+/// progress are observed between slices without perturbing the
+/// simulation. Runs under `catch_unwind`.
+fn execute(job: &QueuedJob, shared: &Shared) -> Outcome {
     if shared.plan.worker_panic.trip() {
         panic!("injected worker panic"); // koc-lint: allow(panic, "deterministic fault injection: the worker_panic fault class exists to prove catch_unwind isolation")
     }
-    if batch.len() == 1 {
-        return vec![execute_solo(&batch[0], shared)];
-    }
-    let mut configs = Vec::with_capacity(batch.len());
-    let mut budgets = Vec::with_capacity(batch.len());
-    for job in batch {
-        match job.spec.processor_config() {
-            Ok(config) => {
-                configs.push(config);
-                budgets.push(job.spec.cycle_budget);
-            }
-            Err(message) => {
-                // Validated at submit; a mismatch here means the spec
-                // mutated, which is a bug — fail the whole batch loudly.
-                return batch
-                    .iter()
-                    .map(|_| Err((ErrorKind::BadRequest, message.clone())))
-                    .collect();
-            }
-        }
-    }
-    let wspec = match batch[0].spec.workload_spec() {
-        Ok(wspec) => wspec,
-        Err(message) => {
-            return batch
-                .iter()
-                .map(|_| Err((ErrorKind::BadRequest, message.clone())))
-                .collect();
-        }
-    };
-    LockstepSweep::new(&configs, wspec.source())
-        .budgets(&budgets)
-        .run()
-        .iter()
-        .map(|stats| Ok(JobResult::from_sim_stats(stats)))
-        .collect()
-}
-
-/// One lane, sliced by `slice_cycles` so deadline, cancellation, and
-/// progress are observed between slices without perturbing the
-/// simulation.
-fn execute_solo(job: &QueuedJob, shared: &Shared) -> Outcome {
     let spec = &job.spec;
     let config = spec.processor_config().map_err(bad_request)?;
     let wspec = spec.workload_spec().map_err(bad_request)?;
@@ -711,7 +627,7 @@ fn execute_solo(job: &QueuedJob, shared: &Shared) -> Outcome {
             }
         }
     }
-    Ok(JobResult::from_sim_stats(&proc.into_stats()))
+    Ok(JobResult::from_sim_stats(&proc.finish().0))
 }
 
 fn bad_request(message: String) -> (ErrorKind, String) {

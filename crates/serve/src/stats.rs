@@ -30,11 +30,11 @@ pub struct ServeStats {
     pub timeouts: u64,
     /// Jobs cooperatively cancelled.
     pub cancelled: u64,
-    /// Worker panics isolated (each poisons its batch, never the server).
+    /// Worker panics isolated (each poisons its job, never the server).
     pub worker_panics: u64,
-    /// Lockstep batches executed (2+ lanes).
+    /// Always 0: jobs are no longer batched. Kept for wire compatibility.
     pub batches: u64,
-    /// Total lanes that rode in lockstep batches.
+    /// Always 0: jobs are no longer batched. Kept for wire compatibility.
     pub batched_lanes: u64,
     /// Wall-clock ms since the server started.
     pub wall_ms: u64,
@@ -141,13 +141,6 @@ impl StatsRecorder {
         } += 1;
     }
 
-    /// Records a lockstep batch of `lanes` jobs.
-    pub fn record_batch(&self, lanes: u64) {
-        let mut inner = self.guard();
-        inner.stats.batches += 1;
-        inner.stats.batched_lanes += lanes;
-    }
-
     /// Records one completed job's submit-to-response latency.
     pub fn record_latency_ms(&self, ms: u64) {
         self.guard().latencies_ms.push(ms);
@@ -201,15 +194,13 @@ mod tests {
             rec.bump(Counter::Request);
         }
         rec.bump(Counter::Ok);
-        rec.record_batch(3);
         for ms in [1, 2, 3, 4, 5, 6, 7, 8, 9, 100] {
             rec.record_latency_ms(ms);
         }
         let snap = rec.snapshot(2_000);
         assert_eq!(snap.requests, 10);
         assert_eq!(snap.ok, 1);
-        assert_eq!(snap.batches, 1);
-        assert_eq!(snap.batched_lanes, 3);
+        assert_eq!((snap.batches, snap.batched_lanes), (0, 0));
         assert!((snap.requests_per_sec - 5.0).abs() < 1e-9);
         assert_eq!(snap.p50_ms, 5.0);
         assert_eq!(snap.p99_ms, 100.0);

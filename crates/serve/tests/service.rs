@@ -56,7 +56,9 @@ fn long_job() -> JobSpec {
 fn solo_truth(spec: &JobSpec) -> (u64, u64) {
     let config = spec.processor_config().expect("valid config");
     let wspec = spec.workload_spec().expect("valid workload");
-    let stats = Processor::new(config, wspec.source()).run_capped(spec.cycle_budget);
+    let mut processor = Processor::new(config, wspec.source());
+    processor.advance_slice(usize::MAX, u64::MAX, spec.cycle_budget);
+    let stats = processor.finish().0;
     (stats.cycles, stats.committed_instructions)
 }
 
@@ -438,7 +440,7 @@ fn torn_response_writes_are_retried_by_the_client() {
 }
 
 #[test]
-fn compatible_queued_jobs_batch_into_lockstep_with_identical_results() {
+fn compatible_queued_jobs_each_run_solo_with_identical_results() {
     let config = ServerConfig {
         workers: 1,
         ..ServerConfig::default()
@@ -448,8 +450,9 @@ fn compatible_queued_jobs_batch_into_lockstep_with_identical_results() {
         stall_ms: 700,
         ..FaultPlan::default()
     };
-    let (handle, client, dir) = start("batch", config, plan);
-    // Wedge the worker so the compatible jobs pile up behind it.
+    let (handle, client, dir) = start("queued", config, plan);
+    // Wedge the worker so jobs sharing one instruction stream pile up
+    // behind it; each still runs on its own.
     let decoy = std::thread::spawn({
         let client = client.clone();
         move || client.submit(&quick_job("cooo", "reduction"))
@@ -477,18 +480,22 @@ fn compatible_queued_jobs_batch_into_lockstep_with_identical_results() {
     decoy.join().expect("thread").expect("decoy job");
     for (spec, sub) in specs.iter().zip(&submissions) {
         let (cycles, committed) = solo_truth(spec);
-        assert_eq!(sub.result.cycles, cycles, "lockstep lane == solo run");
+        assert_eq!(sub.result.cycles, cycles, "served job == solo run");
         assert_eq!(sub.result.committed, committed);
     }
     let stats = client.server_stats().expect("stats");
-    assert!(stats.batches >= 1, "a lockstep batch formed");
-    assert!(stats.batched_lanes >= 2, "it carried multiple lanes");
+    assert_eq!(stats.ok, 4, "the decoy and every queued job completed");
+    assert_eq!(
+        (stats.batches, stats.batched_lanes),
+        (0, 0),
+        "jobs are never batched; the counters stay on the wire at 0"
+    );
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn cycle_budgets_cap_served_jobs_exactly_like_run_capped() {
+fn cycle_budgets_cap_served_jobs_exactly_like_solo_runs() {
     let (handle, client, dir) = start("budget", ServerConfig::default(), FaultPlan::default());
     let job = JobSpec {
         cycle_budget: Some(300),
@@ -497,7 +504,10 @@ fn cycle_budgets_cap_served_jobs_exactly_like_run_capped() {
     let sub = client.submit(&job).expect("capped job");
     assert!(sub.result.budget_exhausted, "budget reported");
     let (cycles, committed) = solo_truth(&job);
-    assert_eq!(sub.result.cycles, cycles, "sliced == run_capped");
+    assert_eq!(
+        sub.result.cycles, cycles,
+        "sliced == solo run under the budget"
+    );
     assert_eq!(sub.result.committed, committed);
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);

@@ -45,7 +45,6 @@
 pub mod config;
 pub mod engine;
 pub mod inflight;
-pub mod lockstep;
 pub mod pipeline;
 pub mod session;
 pub mod stats;
@@ -53,11 +52,8 @@ pub mod stats;
 pub use config::{BranchPredictorKind, CommitConfig, ProcessorConfig, RegisterModel};
 pub use engine::{CommitEngine, DispatchStall, Dispatched, EngineCtx, Writeback};
 pub use inflight::{InFlight, InFlightTable, InstState};
-pub use lockstep::{run_lockstep, LockstepSweep};
 pub use pipeline::{Processor, SliceOutcome};
-pub use session::{
-    ExecMode, GridWorkload, Session, SimBuilder, SourceMode, SuiteResult, Sweep, WorkloadResult,
-};
+pub use session::{Session, SimBuilder, SuiteResult, Sweep, WorkloadResult};
 pub use stats::{Distribution, RecoveryStats, RetireBreakdown, SimStats, StallStats};
 
 // Re-exported so sessions can be configured without importing

@@ -69,13 +69,14 @@ enum SkipStall {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SliceOutcome {
     /// The run is over: the source drained and the machine emptied. Collect
-    /// results via [`Processor::into_stats`].
+    /// results via [`Processor::finish`].
     Complete,
     /// The `max_cycles` budget ran out; the statistics carry
     /// `budget_exhausted` and the run counts as over.
     BudgetExhausted,
-    /// The replay window pulled `fetch_target` instructions; the lane is
-    /// resumable (the lockstep scheduler's stop condition).
+    /// The replay window pulled `fetch_target` instructions; the run is
+    /// resumable (the stop condition of fetch-sliced drivers such as
+    /// [`Processor::advance_until`]).
     FetchTarget,
     /// The simulated clock reached `until_cycle`; the run is resumable
     /// (the deadline/cancellation/progress stop condition).
@@ -446,7 +447,7 @@ impl<'a, O: Observer> Processor<'a, O> {
     /// Panics if the simulation exceeds a generous cycle bound (indicating a
     /// pipeline deadlock, which is a bug).
     pub fn run(self) -> SimStats {
-        self.run_capped(None)
+        self.run_observed().0
     }
 
     /// Runs until completion and returns the statistics together with the
@@ -455,73 +456,41 @@ impl<'a, O: Observer> Processor<'a, O> {
     /// # Panics
     /// Panics if the simulation exceeds a generous cycle bound (indicating a
     /// pipeline deadlock, which is a bug).
-    pub fn run_observed(self) -> (SimStats, O) {
-        self.run_capped_observed(None)
-    }
-
-    /// [`run_capped`](Self::run_capped), returning the observer as well.
-    ///
-    /// # Panics
-    /// Panics if the simulation exceeds a generous cycle bound (indicating a
-    /// pipeline deadlock, which is a bug).
-    pub fn run_capped_observed(mut self, max_cycles: Option<u64>) -> (SimStats, O) {
-        let stats = self.run_to_end(max_cycles);
-        (stats, self.obs)
-    }
-
-    /// Runs until completion or until the simulated cycle count reaches
-    /// `max_cycles`, whichever comes first. A capped run that stops early
-    /// returns partial statistics with
-    /// [`SimStats::budget_exhausted`](crate::SimStats) set — the cheap
-    /// cycle budget [`crate::Session`] and [`crate::Sweep`] thread through.
-    ///
-    /// # Panics
-    /// Panics if the simulation exceeds a generous cycle bound (indicating a
-    /// pipeline deadlock, which is a bug).
-    pub fn run_capped(mut self, max_cycles: Option<u64>) -> SimStats {
-        self.run_to_end(max_cycles)
-    }
-
-    fn run_to_end(&mut self, max_cycles: Option<u64>) -> SimStats {
-        self.advance_until(usize::MAX, max_cycles);
-        self.finalize();
-        std::mem::take(&mut self.stats)
+    pub fn run_observed(mut self) -> (SimStats, O) {
+        self.advance_slice(usize::MAX, u64::MAX, None);
+        self.finish()
     }
 
     /// Advances the machine until its replay window has pulled at least
     /// `fetch_target` instructions from the source, the run completes, or
-    /// the cycle budget is exhausted — the resumable slice the lockstep
-    /// executor drives lanes with (`fetch_target == usize::MAX` runs to
+    /// the cycle budget is exhausted (`fetch_target == usize::MAX` runs to
     /// completion). Returns `true` when the run is over (complete or budget
     /// exhausted) and the caller should collect the statistics via
-    /// [`into_stats`](Self::into_stats); `false` means the fetch target was
-    /// reached and the lane can be resumed later.
-    ///
-    /// Slicing is invisible to the simulated machine: state evolves exactly
-    /// as in an unsliced run, so statistics are bit-identical regardless of
-    /// how callers interleave `advance_until` across processors.
+    /// [`finish`](Self::finish); `false` means the fetch target was reached
+    /// and the run can be resumed later.
     ///
     /// # Panics
     /// Panics if the simulation exceeds a generous cycle bound (indicating a
     /// pipeline deadlock, which is a bug).
     pub fn advance_until(&mut self, fetch_target: usize, max_cycles: Option<u64>) -> bool {
-        !matches!(
-            self.advance_slice(fetch_target, u64::MAX, max_cycles),
-            SliceOutcome::FetchTarget
-        )
+        self.advance_slice(fetch_target, u64::MAX, max_cycles) != SliceOutcome::FetchTarget
     }
 
-    /// The generalized resumable slice underneath
-    /// [`advance_until`](Self::advance_until): advances until the run
-    /// completes, the cycle budget is exhausted, the replay window has
-    /// pulled `fetch_target` instructions, or the simulated clock reaches
-    /// `until_cycle` — whichever comes first. The cycle target is the seam
-    /// external drivers (deadlines, cooperative cancellation, progress
-    /// streaming in `koc-serve`) hook between slices without perturbing the
-    /// simulation: like fetch-slicing, cycle-slicing is invisible to the
-    /// machine and statistics stay bit-identical. The cycle target is a
-    /// lower bound, not an exact stop: fast-forward may overshoot it to the
-    /// next event.
+    /// The one stepping loop: advances until the run completes, the
+    /// simulated clock reaches `max_cycles` (a budget: the run stops early
+    /// with [`SimStats::budget_exhausted`](crate::SimStats) set), the
+    /// replay window has pulled `fetch_target` instructions, or the
+    /// simulated clock reaches `until_cycle` — whichever comes first. The
+    /// last two are resumable stop conditions: external drivers hook
+    /// deadlines, cooperative cancellation, progress streaming (`koc-serve`)
+    /// or per-slice timing between slices. Slicing is invisible to the
+    /// simulated machine, so statistics are bit-identical to an unsliced
+    /// run. The cycle target is a lower bound, not an exact stop:
+    /// fast-forward may overshoot it to the next event.
+    ///
+    /// A run to completion under a budget is
+    /// `advance_slice(usize::MAX, u64::MAX, budget)` followed by
+    /// [`finish`](Self::finish).
     ///
     /// # Panics
     /// Panics if the simulation exceeds a generous cycle bound (indicating a
@@ -561,12 +530,21 @@ impl<'a, O: Observer> Processor<'a, O> {
         SliceOutcome::Complete
     }
 
-    /// Finalizes a run driven through [`advance_until`](Self::advance_until)
-    /// and returns the statistics (the counterpart of
-    /// [`run_capped`](Self::run_capped) for externally sliced runs).
-    pub fn into_stats(mut self) -> SimStats {
-        self.finalize();
-        std::mem::take(&mut self.stats)
+    /// Ends the run and returns its statistics together with the observer.
+    /// Call it once [`advance_slice`](Self::advance_slice) reports the run
+    /// over; a processor finished early reports the partial run.
+    pub fn finish(mut self) -> (SimStats, O) {
+        self.stats.memory = *self.mem.stats();
+        self.stats.replay_window_peak = self.fetch.peak_occupancy();
+        self.engine.finalize(&mut self.stats);
+        if !self.stats.budget_exhausted {
+            debug_assert_eq!(
+                self.stats.committed_instructions as usize,
+                self.fetch.fetched(),
+                "every fetched instruction must commit exactly once"
+            );
+        }
+        (self.stats, self.obs)
     }
 
     fn cycle_bound(&self) -> u64 {
@@ -579,19 +557,6 @@ impl<'a, O: Observer> Processor<'a, O> {
             koc_mem::BackendKind::Dram(_) => 2 + self.config.memory.prefetch.degree() as u64,
         };
         1_000_000 + self.fetch.fetched() as u64 * worst_inst * backpressure
-    }
-
-    fn finalize(&mut self) {
-        self.stats.memory = *self.mem.stats();
-        self.stats.replay_window_peak = self.fetch.peak_occupancy();
-        self.engine.finalize(&mut self.stats);
-        if !self.stats.budget_exhausted {
-            debug_assert_eq!(
-                self.stats.committed_instructions as usize,
-                self.fetch.fetched(),
-                "every fetched instruction must commit exactly once"
-            );
-        }
     }
 
     /// Advances the machine by one cycle.
@@ -1281,12 +1246,16 @@ mod tests {
     #[test]
     fn capped_run_stops_at_the_budget() {
         let trace = tiny_independent_trace(5_000);
-        let stats =
-            Processor::new(ProcessorConfig::baseline(64, 100), &trace).run_capped(Some(100));
+        let capped = |budget| {
+            let mut p = Processor::new(ProcessorConfig::baseline(64, 100), &trace);
+            p.advance_slice(usize::MAX, u64::MAX, budget);
+            p.finish().0
+        };
+        let stats = capped(Some(100));
         assert!(stats.budget_exhausted);
         assert_eq!(stats.cycles, 100);
         assert!(stats.committed_instructions < 5_000);
-        let full = Processor::new(ProcessorConfig::baseline(64, 100), &trace).run_capped(None);
+        let full = capped(None);
         assert!(!full.budget_exhausted);
         assert_eq!(full.committed_instructions, 5_000);
     }

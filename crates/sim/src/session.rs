@@ -17,87 +17,17 @@
 //! ```
 
 use crate::config::{BranchPredictorKind, CommitConfig, ProcessorConfig, RegisterModel};
-use crate::lockstep::run_lockstep;
 use crate::pipeline::Processor;
 use crate::stats::SimStats;
 use koc_core::CheckpointPolicy;
-use koc_isa::{InstructionSource, IntoInstructionSource};
+use koc_isa::IntoInstructionSource;
 use koc_mem::{BackendKind, DramConfig, PrefetchConfig};
 use koc_obs::Observer;
-use koc_workloads::{suite::suite_average, Suite, Workload, WorkloadSpec};
+use koc_workloads::{suite::suite_average, Suite, Workload};
 use rayon::prelude::*;
 
 /// Default minimum dynamic trace length per workload when none is given.
 pub const DEFAULT_TRACE_LEN: usize = 10_000;
-
-/// How a [`Sweep`] executes its (configuration × workload) grid.
-///
-/// Execution mode is a scheduling decision only: per-config cycle counts
-/// are **bit-identical** across modes (gated by `tests/lockstep.rs` at
-/// zero tolerance).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Decode once, simulate many: each workload's instruction stream is
-    /// fetched a single time and forked across all configurations, which
-    /// advance in lockstep under a shared fetch frontier
-    /// (see [`crate::lockstep`]). The default whenever the configurations
-    /// share a workload spec — which every grid built through [`Sweep`]
-    /// does; single-configuration sweeps fall back to the per-config path
-    /// (with one lane, there is nothing to share).
-    #[default]
-    Lockstep,
-    /// The classic fan-out: every (configuration × workload) pair runs as
-    /// an independent job across rayon workers, each re-instantiating its
-    /// own source.
-    PerConfig,
-}
-
-/// A workload a [`Sweep`] grid can run: something with a name that can
-/// mint a fresh instruction stream per run (or per lockstep group). The
-/// single abstraction [`Sweep::run_grid`] — the one execution seam both
-/// [`ExecMode`]s implement — is generic over.
-pub trait GridWorkload: Sync {
-    /// The workload's report name.
-    fn name(&self) -> &str;
-    /// A fresh source producing this workload's instruction stream from
-    /// the beginning.
-    fn source(&self) -> Box<dyn InstructionSource + Send + '_>;
-}
-
-impl GridWorkload for Workload {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn source(&self) -> Box<dyn InstructionSource + Send + '_> {
-        Box::new(Workload::source(self))
-    }
-}
-
-impl GridWorkload for WorkloadSpec {
-    fn name(&self) -> &str {
-        WorkloadSpec::name(self)
-    }
-    fn source(&self) -> Box<dyn InstructionSource + Send + '_> {
-        WorkloadSpec::source(self)
-    }
-}
-
-/// How a session's workloads are fed to the pipeline.
-///
-/// Cycle counts are **bit-identical** between the two modes (both fetch
-/// through the same replay window); only the memory profile differs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SourceMode {
-    /// Generate every workload's full trace up front and share it across
-    /// runs. Fastest for sweeps that reuse workloads many times; memory is
-    /// O(trace length).
-    #[default]
-    Materialized,
-    /// Generate each run's instruction stream on demand: every (config ×
-    /// workload) run pulls a fresh streaming source and peak memory is
-    /// O(in-flight window) — the mode for runs of unbounded length.
-    Streamed,
-}
 
 /// The result of running one configuration over one workload.
 #[derive(Debug, Clone)]
@@ -159,7 +89,6 @@ pub struct SimBuilder {
     suite: Suite,
     trace_len: usize,
     cycle_budget: Option<u64>,
-    source_mode: SourceMode,
 }
 
 impl SimBuilder {
@@ -170,7 +99,6 @@ impl SimBuilder {
             suite: Suite::paper(),
             trace_len: DEFAULT_TRACE_LEN,
             cycle_budget: None,
-            source_mode: SourceMode::default(),
         }
     }
 
@@ -367,21 +295,6 @@ impl SimBuilder {
         self
     }
 
-    /// Selects how workloads are fed to the pipeline:
-    /// [`SourceMode::Materialized`] (default — full traces generated up
-    /// front and shared) or [`SourceMode::Streamed`] (each run pulls its
-    /// stream on demand, O(window) memory). Cycle counts are bit-identical
-    /// either way.
-    pub fn source_mode(mut self, mode: SourceMode) -> Self {
-        self.source_mode = mode;
-        self
-    }
-
-    /// Shorthand for [`source_mode`](Self::source_mode)`(SourceMode::Streamed)`.
-    pub fn streamed(self) -> Self {
-        self.source_mode(SourceMode::Streamed)
-    }
-
     /// The configuration as currently built.
     pub fn config(&self) -> &ProcessorConfig {
         &self.config
@@ -401,7 +314,6 @@ impl SimBuilder {
             suite: self.suite,
             trace_len: self.trace_len,
             cycle_budget: self.cycle_budget,
-            source_mode: self.source_mode,
         }
     }
 }
@@ -413,7 +325,6 @@ pub struct Session {
     suite: Suite,
     trace_len: usize,
     cycle_budget: Option<u64>,
-    source_mode: SourceMode,
 }
 
 impl Session {
@@ -427,15 +338,13 @@ impl Session {
         self.suite.generate(self.trace_len)
     }
 
-    /// Runs every workload of the suite (in parallel) and returns the suite
-    /// result. In [`SourceMode::Materialized`] the workload traces are
-    /// generated up front; in [`SourceMode::Streamed`] each run pulls its
-    /// instruction stream lazily and nothing is materialized.
+    /// Generates the suite's workloads and runs every one of them (in
+    /// parallel), returning the suite result. To stream a workload instead
+    /// of materializing it, pass its source to [`run_one`](Self::run_one).
     pub fn run(&self) -> SuiteResult {
         let mut sweep = Sweep::over([self.config])
             .workloads(self.suite.clone())
-            .trace_len(self.trace_len)
-            .source_mode(self.source_mode);
+            .trace_len(self.trace_len);
         if let Some(budget) = self.cycle_budget {
             sweep = sweep.cycle_budget(budget);
         }
@@ -464,9 +373,7 @@ impl Session {
     /// both the ingestion side ([`IntoInstructionSource`]: a `&Trace`, a
     /// streaming generator, a combinator pipeline…) and the observation
     /// side ([`Observer`]: pass [`koc_obs::NullObserver`] for an unobserved
-    /// run, or any recording observer to get it back filled in). Replaces
-    /// the former `run_trace` / `run_trace_observed` / `run_source` /
-    /// `run_source_observed` quartet, which has been removed.
+    /// run, or any recording observer to get it back filled in).
     ///
     /// Attaching an observer never changes simulated timing, and memory
     /// stays O(in-flight window) regardless of how many instructions the
@@ -476,7 +383,10 @@ impl Session {
         source: impl IntoInstructionSource<'s>,
         obs: O,
     ) -> (SimStats, O) {
-        Processor::with_observer(self.config, source, obs).run_capped_observed(self.cycle_budget)
+        run_to_completion(
+            Processor::with_observer(self.config, source, obs),
+            self.cycle_budget,
+        )
     }
 
     /// A fresh processor over `source`, for callers that want to drive the
@@ -487,8 +397,9 @@ impl Session {
 }
 
 /// A parallel sweep: a grid of configurations, each run over the same
-/// workloads. Results come back in the same order as the input
-/// configurations — one [`SuiteResult`] per configuration.
+/// workloads. Every (workload × configuration) pair is an independent job
+/// fanned out over the worker threads. Results come back in the same order
+/// as the input configurations — one [`SuiteResult`] per configuration.
 ///
 /// ```no_run
 /// use koc_sim::{ProcessorConfig, Sweep};
@@ -508,8 +419,6 @@ pub struct Sweep {
     suite: Suite,
     trace_len: usize,
     cycle_budget: Option<u64>,
-    source_mode: SourceMode,
-    exec_mode: ExecMode,
 }
 
 impl Sweep {
@@ -520,8 +429,6 @@ impl Sweep {
             suite: Suite::paper(),
             trace_len: DEFAULT_TRACE_LEN,
             cycle_budget: None,
-            source_mode: SourceMode::default(),
-            exec_mode: ExecMode::default(),
         }
     }
 
@@ -544,96 +451,35 @@ impl Sweep {
         self
     }
 
-    /// Selects how workloads are fed to the pipeline (see
-    /// [`SimBuilder::source_mode`]). Streamed sweeps regenerate each run's
-    /// stream on demand instead of sharing materialized traces: more
-    /// generator work, O(window) memory per run.
-    pub fn source_mode(mut self, mode: SourceMode) -> Self {
-        self.source_mode = mode;
-        self
-    }
-
-    /// Selects how the grid executes (see [`ExecMode`]); the default is
-    /// [`ExecMode::Lockstep`]. Cycle counts are bit-identical either way —
-    /// this knob trades scheduling shape (decode-once lanes vs independent
-    /// rayon jobs), never results.
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
     /// The configurations in the sweep, in run order.
     pub fn configs(&self) -> &[ProcessorConfig] {
         &self.configs
     }
 
-    /// Runs the whole grid. In [`SourceMode::Materialized`] the suite is
-    /// generated once and shared; in [`SourceMode::Streamed`] nothing is
-    /// materialized and streams are pulled on demand. Returns one result
-    /// per configuration, in input order.
+    /// Generates the suite once and runs the whole grid over it (see
+    /// [`run_on`](Self::run_on)). Returns one result per configuration, in
+    /// input order.
     pub fn run(&self) -> Vec<SuiteResult> {
-        match self.source_mode {
-            SourceMode::Materialized => {
-                let workloads = self.suite.generate(self.trace_len);
-                self.run_grid(&workloads)
-            }
-            SourceMode::Streamed => {
-                let specs = self.suite.specs(self.trace_len);
-                self.run_grid(&specs)
-            }
-        }
+        self.run_on(&self.suite.generate(self.trace_len))
     }
 
     /// Runs the grid over pre-generated workloads (shared by reference, so
     /// nothing is cloned per configuration). Returns one result per
     /// configuration, in input order.
+    ///
+    /// Pairs are queued workload-major (`w0c0, w0c1, …, w1c0, …`), so the
+    /// costly configurations of a grid — the big windows — spread across
+    /// workers instead of lining up on one of them.
     pub fn run_on(&self, workloads: &[Workload]) -> Vec<SuiteResult> {
-        self.run_grid(workloads)
-    }
-
-    /// The single execution seam: runs the (configuration × `workloads`)
-    /// grid under the sweep's [`ExecMode`] and returns one result per
-    /// configuration, in input order.
-    ///
-    /// * [`ExecMode::Lockstep`] instantiates each workload's source
-    ///   **once**, forks it across all configurations and advances the
-    ///   lanes under a shared fetch frontier (see [`crate::lockstep`]);
-    ///   workload groups fan out over rayon workers.
-    /// * [`ExecMode::PerConfig`] flattens to (configuration × workload)
-    ///   pairs and fans every pair out as an independent job, each minting
-    ///   its own source.
-    ///
-    /// Both modes produce bit-identical per-configuration statistics.
-    pub fn run_grid<W: GridWorkload>(&self, workloads: &[W]) -> Vec<SuiteResult> {
-        if workloads.is_empty() {
-            return self
-                .configs
-                .iter()
-                .map(|config| SuiteResult {
-                    config: *config,
-                    per_workload: Vec::new(),
-                })
-                .collect();
-        }
-        // A single-configuration "grid" has nothing to share; the pair
-        // fan-out keeps its parallelism across workloads without paying
-        // for the fork.
-        if self.exec_mode == ExecMode::Lockstep && self.configs.len() > 1 {
-            self.run_grid_lockstep(workloads)
-        } else {
-            self.run_grid_per_config(workloads)
-        }
-    }
-
-    /// [`ExecMode::Lockstep`]: one decode pass and one lane per
-    /// configuration for each workload, workloads in parallel.
-    fn run_grid_lockstep<W: GridWorkload>(&self, workloads: &[W]) -> Vec<SuiteResult> {
-        let budget = self.cycle_budget;
-        // Per-workload lane results: lanes[w][c] is workload w under
-        // configuration c.
-        let lanes: Vec<Vec<SimStats>> = workloads
+        let pairs: Vec<(&Workload, &ProcessorConfig)> = workloads
+            .iter()
+            .flat_map(|w| self.configs.iter().map(move |c| (w, c)))
+            .collect();
+        let stats: Vec<SimStats> = pairs
             .par_iter()
-            .map(|w| run_lockstep(&self.configs, w.source(), budget))
+            .map(|(w, config)| {
+                run_to_completion(Processor::new(**config, &w.trace), self.cycle_budget).0
+            })
             .collect();
         self.configs
             .iter()
@@ -642,42 +488,24 @@ impl Sweep {
                 config: *config,
                 per_workload: workloads
                     .iter()
-                    .zip(&lanes)
-                    .map(|(w, per_config)| WorkloadResult {
-                        workload: w.name().to_string(),
-                        stats: per_config[ci].clone(),
+                    .enumerate()
+                    .map(|(wi, w)| WorkloadResult {
+                        workload: w.name.clone(),
+                        stats: stats[wi * self.configs.len() + ci].clone(),
                     })
                     .collect(),
             })
             .collect()
     }
+}
 
-    /// [`ExecMode::PerConfig`]: flattens to (configuration × workload)
-    /// pairs so parallelism covers the whole grid, not just the
-    /// configuration axis.
-    fn run_grid_per_config<W: GridWorkload>(&self, workloads: &[W]) -> Vec<SuiteResult> {
-        let budget = self.cycle_budget;
-        let pairs: Vec<(&ProcessorConfig, &W)> = self
-            .configs
-            .iter()
-            .flat_map(|c| workloads.iter().map(move |w| (c, w)))
-            .collect();
-        let runs: Vec<WorkloadResult> = pairs
-            .par_iter()
-            .map(|(config, w)| WorkloadResult {
-                workload: w.name().to_string(),
-                stats: Processor::new(**config, w.source()).run_capped(budget),
-            })
-            .collect();
-        self.configs
-            .iter()
-            .zip(runs.chunks(workloads.len()))
-            .map(|(config, chunk)| SuiteResult {
-                config: *config,
-                per_workload: chunk.to_vec(),
-            })
-            .collect()
-    }
+/// Runs `processor` to the end, or until `budget` simulated cycles.
+fn run_to_completion<O: Observer>(
+    mut processor: Processor<'_, O>,
+    budget: Option<u64>,
+) -> (SimStats, O) {
+    processor.advance_slice(usize::MAX, u64::MAX, budget);
+    processor.finish()
 }
 
 #[cfg(test)]

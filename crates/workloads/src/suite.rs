@@ -3,7 +3,7 @@
 use crate::config::KernelConfig;
 use crate::kernels;
 use crate::synth::{generate_kernel, KernelSource};
-use koc_isa::{InstructionSource, LaneSource, MaterializedTrace, StreamFork, Trace};
+use koc_isa::{InstructionSource, MaterializedTrace, Trace};
 
 /// A named workload: a kernel configuration and its generated trace.
 #[derive(Debug, Clone)]
@@ -71,16 +71,6 @@ impl WorkloadSpec {
             WorkloadSpec::Kernel { name, config } => Box::new(KernelSource::new(name, *config)),
             WorkloadSpec::Fixed(w) => Box::new(w.source()),
         }
-    }
-
-    /// Instantiates the spec **once** and forks the stream into `lanes`
-    /// identical readers — the shared-spec seam of lockstep sweeps. Each
-    /// lane delivers the exact sequence [`source`](Self::source) would,
-    /// but kernel generation (or trace replay) happens a single time for
-    /// all lanes; the shared buffer only holds the span between the
-    /// slowest and fastest reader.
-    pub fn fork(&self, lanes: usize) -> Vec<LaneSource<'_>> {
-        StreamFork::split(self.source(), lanes)
     }
 
     /// Materializes the spec into a full [`Workload`] (generating the trace
@@ -277,24 +267,6 @@ mod tests {
         let mut s = specs[0].source();
         assert_eq!(s.len_hint(), Some(w.trace.len()));
         assert_eq!(s.next_inst().as_ref(), Some(&w.trace[0]));
-    }
-
-    #[test]
-    fn forked_spec_lanes_match_the_solo_source() {
-        let spec = Suite::paper().specs(600).remove(0);
-        let mut solo = spec.source();
-        let mut lanes = spec.fork(2);
-        let mut b = lanes.pop().unwrap();
-        let mut a = lanes.pop().unwrap();
-        assert_eq!(a.len_hint(), solo.len_hint());
-        loop {
-            let want = solo.next_inst();
-            assert_eq!(a.next_inst(), want, "lane 0 must replay the spec");
-            assert_eq!(b.next_inst(), want, "lane 1 must replay the spec");
-            if want.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

@@ -106,7 +106,7 @@ proptest! {
     }
 
     /// A kernel source is a pure function of its config: two instances
-    /// drained in lockstep agree instruction for instruction.
+    /// drained side by side agree instruction for instruction.
     #[test]
     fn kernel_sources_are_deterministic(kernel_idx in 0usize..7, target_len in 100usize..400) {
         let (name, config) = kernel_menu()[kernel_idx];

@@ -36,7 +36,7 @@ fn main() -> ExitCode {
 
 /// The canonical demo batch: both engines over two workloads at two window
 /// sizes — eight distinct jobs, so the second pass produces eight cache
-/// hits and compatible pending jobs can batch into lockstep lanes.
+/// hits.
 fn batch() -> Vec<JobSpec> {
     let mut jobs = Vec::new();
     for engine in ["baseline", "cooo"] {

@@ -16,7 +16,7 @@
 
 use koc::isa::{InstructionSource, SourceExt};
 use koc::sim::{NullObserver, SimBuilder, Suite};
-use koc::workloads::{kernels, KernelSource};
+use koc::workloads::{kernels, suite::suite_average, KernelSource};
 
 fn main() {
     // A run ~500x longer than the default suite traces, in O(window)
@@ -60,13 +60,13 @@ fn main() {
         stats.ipc()
     );
 
-    // The streamed suite: same cycle counts as the materialized suite,
-    // without ever building a trace.
-    let result = SimBuilder::cooo()
-        .workloads(Suite::paper())
-        .trace_len(10_000)
-        .streamed()
-        .build()
-        .run();
-    println!("streamed paper suite: {:.2} mean IPC", result.mean_ipc());
+    // The streamed suite: every workload spec hands out a fresh source,
+    // with the same cycle counts as the materialized suite and without
+    // ever building a trace.
+    let ipcs: Vec<f64> = Suite::paper()
+        .specs(10_000)
+        .iter()
+        .map(|spec| session.run_one(spec.source(), NullObserver).0.ipc())
+        .collect();
+    println!("streamed paper suite: {:.2} mean IPC", suite_average(&ipcs));
 }

@@ -3,9 +3,9 @@
 //! Three properties the API redesign promises:
 //!
 //! 1. **Bit-identical timing** — the full paper suite produces the same
-//!    cycle counts (indeed the same `SimStats`) whether workloads are
-//!    materialized up front or streamed on demand, under both commit
-//!    engines, with event-driven fast-forward on and off.
+//!    cycle counts (indeed the same `SimStats`) whether a `Processor` runs
+//!    over a materialized `&Trace` or the workload's streaming source,
+//!    under both commit engines, with event-driven fast-forward on and off.
 //! 2. **O(window) memory** — a multi-million-instruction streaming run
 //!    completes with a replay-window peak bounded by the machine's
 //!    recovery depth (ROB / checkpoint span), independent of stream
@@ -14,7 +14,7 @@
 //!    `warmup_measure`) and reloaded trace files run end to end.
 
 use koc::isa::{InstructionSource, SourceExt, Trace};
-use koc::sim::{NullObserver, ProcessorConfig, SimBuilder, SourceMode, Suite};
+use koc::sim::{NullObserver, Processor, ProcessorConfig, SimBuilder, Suite};
 use koc::workloads::{generate_kernel, kernels, KernelSource, Workload};
 
 /// Stream length for the long-run memory guard: ten million instructions
@@ -28,29 +28,21 @@ const GUARD_LEN: usize = if cfg!(debug_assertions) {
 
 #[test]
 fn paper_suite_is_bit_identical_streamed_vs_materialized() {
+    let specs = Suite::paper().specs(1_500);
+    let workloads: Vec<Workload> = specs.iter().map(|s| s.materialize()).collect();
     for fast_forward in [true, false] {
         for base in [
             ProcessorConfig::baseline(128, 500),
             ProcessorConfig::cooo(64, 1024, 500),
         ] {
-            let run = |mode: SourceMode| {
-                SimBuilder::from_config(base)
-                    .fast_forward(fast_forward)
-                    .workloads(Suite::paper())
-                    .trace_len(1_500)
-                    .source_mode(mode)
-                    .build()
-                    .run()
-            };
-            let materialized = run(SourceMode::Materialized);
-            let streamed = run(SourceMode::Streamed);
-            assert_eq!(materialized.per_workload.len(), streamed.per_workload.len());
-            for (m, s) in materialized.per_workload.iter().zip(&streamed.per_workload) {
-                assert_eq!(m.workload, s.workload);
+            let config = base.with_fast_forward(fast_forward);
+            for (spec, workload) in specs.iter().zip(&workloads) {
+                let materialized = Processor::new(config, &workload.trace).run();
+                let streamed = Processor::new(config, spec.source()).run();
                 assert_eq!(
-                    m.stats, s.stats,
-                    "{} (ff={fast_forward}) must not depend on the source mode",
-                    m.workload
+                    materialized, streamed,
+                    "{} (ff={fast_forward}) must not depend on how it is fed",
+                    workload.name
                 );
             }
         }
@@ -143,14 +135,12 @@ fn saved_traces_reload_and_replay_identically() {
 #[test]
 fn custom_suites_stream_their_fixed_traces() {
     let workload = Workload::generate("stencil27", kernels::stencil27(), 1_000);
-    let run = |mode: SourceMode| {
-        SimBuilder::baseline(64)
-            .memory_latency(300)
-            .workloads(Suite::custom(vec![workload.clone()]))
-            .source_mode(mode)
-            .build()
-            .run()
-    };
-    let (m, s) = (run(SourceMode::Materialized), run(SourceMode::Streamed));
-    assert_eq!(m.per_workload[0].stats, s.per_workload[0].stats);
+    let spec = Suite::custom(vec![workload.clone()])
+        .specs(99_999)
+        .remove(0);
+    let config = ProcessorConfig::baseline(64, 300);
+    assert_eq!(
+        Processor::new(config, &workload.trace).run(),
+        Processor::new(config, spec.source()).run()
+    );
 }
