@@ -81,7 +81,9 @@ impl ReorderBuffer {
         self.entries.len() < self.capacity
     }
 
-    /// Allocates an entry at the tail (program order).
+    /// Allocates an entry at the tail (program order). Ids are consecutive:
+    /// dispatch appends the next fetched id, and a squash pops everything
+    /// above its boundary while fetch resumes right after it.
     ///
     /// # Errors
     /// Returns [`RobFull`] when the ROB is full; dispatch stalls.
@@ -92,31 +94,23 @@ impl ReorderBuffer {
         debug_assert!(
             self.entries
                 .back()
-                .is_none_or(|tail| tail.inst < entry.inst),
-            "ROB entries are allocated in program order"
+                .is_none_or(|tail| tail.inst + 1 == entry.inst),
+            "ROB entries hold consecutive ids in program order"
         );
         self.entries.push_back(entry);
         Ok(())
     }
 
-    /// Marks an instruction as finished (write-back).
+    /// Marks an instruction as finished (write-back). Ids are consecutive
+    /// (see [`push`](Self::push)), so the entry sits at its id's offset from
+    /// the head; an id already committed or squashed is ignored.
     pub fn mark_finished(&mut self, inst: InstId) {
-        // Entries hold consecutive ids in program order (dispatch appends
-        // the next fetched id; a squash pops everything above the boundary
-        // and fetch resumes right after it), so an entry sits at its id's
-        // offset from the head. The scan below only runs for ids no longer
-        // in the buffer.
         let offset = self
             .entries
             .front()
             .and_then(|head| inst.checked_sub(head.inst));
         if let Some(e) = offset.and_then(|i| self.entries.get_mut(i)) {
-            if e.inst == inst {
-                e.finished = true;
-                return;
-            }
-        }
-        if let Some(e) = self.entries.iter_mut().rev().find(|e| e.inst == inst) {
+            debug_assert_eq!(e.inst, inst);
             e.finished = true;
         }
     }

@@ -1,23 +1,19 @@
-//! Lockstep execution gates: decode-once batched sweeps must be a pure
-//! scheduling change.
+//! Grid-stepping gates: running many configurations over one stream must
+//! be a pure scheduling change for the `Sweep` executor.
 //!
-//! `ExecMode::Lockstep` forks one fetch stream across all configurations
-//! of a sweep (see `koc_sim::lockstep`); these tests pin the properties
-//! that make it safe to be the default:
-//!
-//! 1. **Identity** — lockstep and the per-config rayon fan-out produce
-//!    bit-identical `SimStats` across both engines, both ingestion modes
-//!    and fast-forward on/off (zero tolerance, like `tests/determinism.rs`).
-//! 2. **Baseline agreement** — per-config cycle counts in *both* execution
-//!    modes land exactly on the committed `bench/baseline.json` numbers.
-//! 3. **Budget semantics** — staggered per-lane cycle budgets behave
-//!    exactly like solo capped runs (property-tested over random lane
-//!    counts, budgets and chunk sizes).
+//! 1. **Identity** — a multi-config grid is bit-identical to each
+//!    configuration run on its own, whether the workload is a
+//!    materialized trace or a streamed `spec.source()`, on both engines,
+//!    with fast-forward on and off, uncapped and under a cycle budget
+//!    (`budget_exhausted` included; zero tolerance, like
+//!    `tests/determinism.rs`).
+//! 2. **Budget semantics** — staggered cycle budgets behave exactly like
+//!    a sequential reference that steps a solo processor in fixed-size
+//!    cycle slices (property-tested over random lane counts, budgets and
+//!    slice sizes).
 
-use koc_sim::{
-    run_lockstep, ExecMode, LockstepSweep, Processor, ProcessorConfig, SourceMode, Suite, Sweep,
-};
-use koc_workloads::{generate_kernel, kernels};
+use koc_sim::{Processor, ProcessorConfig, SimStats, SliceOutcome, Suite, Sweep};
+use koc_workloads::{kernels, Workload};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -43,108 +39,105 @@ fn grids() -> Vec<Vec<ProcessorConfig>> {
 
 #[test]
 fn lockstep_matches_per_config_across_engines_sources_and_fast_forward() {
+    // pointer_chase is slow enough to exhaust the budget while stream_mlp
+    // finishes under it.
+    let specs = Suite::mlp_contrast().specs(1_000);
+    let workloads: Vec<Workload> = specs.iter().map(|s| s.materialize()).collect();
+    let (mut capped, mut complete) = (0, 0);
     for configs in grids() {
         for fast_forward in [true, false] {
             let configs: Vec<ProcessorConfig> = configs
                 .iter()
                 .map(|c| c.with_fast_forward(fast_forward))
                 .collect();
-            for source_mode in [SourceMode::Materialized, SourceMode::Streamed] {
-                let run = |exec_mode| {
-                    Sweep::over(configs.clone())
-                        .workloads(Suite::mlp_contrast())
-                        .trace_len(1_000)
-                        .source_mode(source_mode)
-                        .exec_mode(exec_mode)
-                        .run()
+            for budget in [None, Some(20_000)] {
+                let sweep = |configs: &[ProcessorConfig]| {
+                    let mut sweep = Sweep::over(configs.iter().copied());
+                    if let Some(cycles) = budget {
+                        sweep = sweep.cycle_budget(cycles);
+                    }
+                    sweep.run_on(&workloads)
                 };
-                let lockstep = run(ExecMode::Lockstep);
-                let per_config = run(ExecMode::PerConfig);
-                assert_eq!(lockstep.len(), per_config.len());
-                for (l, p) in lockstep.iter().zip(per_config.iter()) {
-                    assert_eq!(l.config, p.config, "result order must be input order");
-                    for (lw, pw) in l.per_workload.iter().zip(p.per_workload.iter()) {
-                        assert_eq!(lw.workload, pw.workload);
+                let grid = sweep(&configs);
+                assert_eq!(grid.len(), configs.len());
+                for (result, config) in grid.iter().zip(&configs) {
+                    assert_eq!(result.config, *config, "result order must be input order");
+                    let per_config = sweep(std::slice::from_ref(config));
+                    for ((cell, alone), spec) in result
+                        .per_workload
+                        .iter()
+                        .zip(&per_config[0].per_workload)
+                        .zip(&specs)
+                    {
+                        assert_eq!(cell.workload, alone.workload);
                         assert_eq!(
-                            lw.stats, pw.stats,
-                            "{}: lockstep must be bit-identical to per-config \
-                             (fast_forward={fast_forward}, {source_mode:?})",
-                            lw.workload
+                            cell.stats, alone.stats,
+                            "{}: the grid must be bit-identical to a one-config sweep \
+                             (fast_forward={fast_forward}, budget={budget:?})",
+                            cell.workload
                         );
+                        let mut solo = Processor::new(*config, spec.source());
+                        solo.advance_slice(usize::MAX, u64::MAX, budget);
+                        assert_eq!(
+                            cell.stats,
+                            solo.finish().0,
+                            "{}: the materialized grid must be bit-identical to a streamed \
+                             solo run (fast_forward={fast_forward}, budget={budget:?})",
+                            cell.workload
+                        );
+                        if budget.is_some() {
+                            if cell.stats.budget_exhausted {
+                                capped += 1;
+                            } else {
+                                complete += 1;
+                            }
+                        }
                     }
                 }
             }
         }
     }
+    assert!(
+        capped > 0 && complete > 0,
+        "the budget must cap some cells and spare others ({capped} capped, {complete} complete)"
+    );
 }
 
-/// The committed `bench/baseline.json` cycle counts for both canonical
-/// engines over the full quick suite, pinned in-source: both execution
-/// modes must land on exactly these numbers, in both ingestion modes.
-#[test]
-fn both_exec_modes_land_on_the_committed_baseline_cycles() {
-    use koc_bench::harness::{specs, QUICK_TRACE_LEN};
+fn proptest_workload() -> &'static Workload {
+    static WORKLOAD: OnceLock<Workload> = OnceLock::new();
+    WORKLOAD.get_or_init(|| Workload::generate("stream_add", kernels::stream_add(), 1_500))
+}
 
-    const PINNED: &[(&str, u64, u64, u64)] = &[
-        // (workload, baseline cycles, cooo cycles, retired)
-        ("stream_add", 47_328, 4_183, 8_004),
-        ("stencil27", 61_382, 4_460, 8_100),
-        ("dense_blocked", 57_208, 3_623, 8_140),
-        ("reduction", 59_149, 5_608, 8_008),
-        ("gather", 63_937, 4_516, 8_070),
-        ("pointer_chase", 6_458_794, 6_458_795, 8_000),
-        ("stream_mlp", 63_883, 3_933, 8_024),
-    ];
-    let configs = [
-        ProcessorConfig::baseline(128, 1000),
-        ProcessorConfig::cooo(128, 2048, 1000),
-    ];
-    let specs = specs(QUICK_TRACE_LEN);
-    assert_eq!(specs.len(), PINNED.len(), "quick suite changed shape");
-    for exec_mode in [ExecMode::Lockstep, ExecMode::PerConfig] {
-        for streamed in [true, false] {
-            let sweep = Sweep::over(configs).exec_mode(exec_mode);
-            let results = if streamed {
-                sweep.run_grid(&specs)
-            } else {
-                let workloads: Vec<_> = specs.iter().map(|s| s.materialize()).collect();
-                sweep.run_grid(&workloads)
-            };
-            for (ei, engine) in ["baseline", "cooo"].iter().enumerate() {
-                for (wr, &(name, base_cycles, cooo_cycles, retired)) in
-                    results[ei].per_workload.iter().zip(PINNED)
-                {
-                    let cycles = if ei == 0 { base_cycles } else { cooo_cycles };
-                    assert_eq!(wr.workload, name);
-                    assert_eq!(
-                        (wr.stats.cycles, wr.stats.committed_instructions),
-                        (cycles, retired),
-                        "{name}/{engine}: cycles must stay on bench/baseline.json \
-                         ({exec_mode:?}, streamed={streamed})"
-                    );
-                }
-            }
+/// The sequential reference: a solo processor stepped in `slice`-cycle
+/// slices until the run is over, stopped at `budget` cycles.
+fn sliced_reference(
+    config: ProcessorConfig,
+    workload: &Workload,
+    budget: Option<u64>,
+    slice: u64,
+) -> SimStats {
+    let mut processor = Processor::new(config, &workload.trace);
+    let mut until = 0u64;
+    loop {
+        until = until.saturating_add(slice);
+        if processor.advance_slice(usize::MAX, until, budget) != SliceOutcome::CycleTarget {
+            break;
         }
     }
-}
-
-fn proptest_trace() -> &'static koc_isa::Trace {
-    static TRACE: OnceLock<koc_isa::Trace> = OnceLock::new();
-    TRACE.get_or_init(|| {
-        generate_kernel("stream_add", &kernels::stream_add().with_target_len(1_500))
-    })
+    processor.finish().0
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random lane counts, staggered per-lane budgets and arbitrary chunk
-    /// sizes against the sequential reference: every lane must report
-    /// exactly what a solo capped run of its configuration reports.
+    /// Random lane counts, staggered cycle budgets and arbitrary slice
+    /// sizes against the sequential reference: every lane of every
+    /// budgeted grid must report exactly what a solo run of its
+    /// configuration reports under the same budget.
     #[test]
     fn staggered_budgets_match_the_sequential_reference(
         lanes in 1usize..5,
-        chunk in 1usize..600,
+        slice in 1u64..600,
         budget_pool in proptest::collection::vec(0u64..2_500, 1..5),
     ) {
         let palette = [
@@ -157,43 +150,22 @@ proptest! {
             (0..lanes).map(|i| palette[i % palette.len()]).collect();
         // Values below 150 mean "uncapped": a mix of None and staggered
         // caps, without needing an Option strategy.
-        let budgets: Vec<Option<u64>> = (0..lanes)
-            .map(|i| Some(budget_pool[i % budget_pool.len()]).filter(|&b| b >= 150))
+        let budgets: Vec<Option<u64>> = budget_pool
+            .iter()
+            .map(|&b| Some(b).filter(|&b| b >= 150))
             .collect();
-        let trace = proptest_trace();
-        let got = LockstepSweep::new(&configs, trace)
-            .budgets(&budgets)
-            .chunk(chunk)
-            .run();
-        for ((config, budget), stats) in configs.iter().zip(&budgets).zip(&got) {
-            let reference = Processor::new(*config, trace).run_capped(*budget);
-            prop_assert_eq!(stats, &reference);
+        let workload = proptest_workload();
+        for budget in budgets {
+            let mut sweep = Sweep::over(configs.iter().copied());
+            if let Some(cycles) = budget {
+                sweep = sweep.cycle_budget(cycles);
+            }
+            let got = sweep.run_on(std::slice::from_ref(workload));
+            prop_assert_eq!(got.len(), configs.len());
+            for (result, config) in got.iter().zip(&configs) {
+                let reference = sliced_reference(*config, workload, budget, slice);
+                prop_assert_eq!(&result.per_workload[0].stats, &reference);
+            }
         }
-    }
-}
-
-#[test]
-fn lockstep_helper_and_sweep_agree() {
-    let trace = proptest_trace();
-    let configs = [
-        ProcessorConfig::baseline(64, 300),
-        ProcessorConfig::cooo(32, 512, 300),
-    ];
-    let direct = run_lockstep(&configs, trace, None);
-    let swept = Sweep::over(configs)
-        .workloads(Suite::custom(vec![koc_workloads::Workload::generate(
-            "stream_add",
-            kernels::stream_add(),
-            1_500,
-        )]))
-        .exec_mode(ExecMode::Lockstep)
-        .run();
-    for (ci, stats) in direct.iter().enumerate() {
-        // Same kernel, same seed, same target length: the sweep's workload
-        // stream is the same stream.
-        assert_eq!(
-            stats.cycles, swept[ci].per_workload[0].stats.cycles,
-            "Sweep lockstep and run_lockstep must drive identical lanes"
-        );
     }
 }

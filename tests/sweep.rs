@@ -1,83 +1,9 @@
-//! Sweep gates: the grid executor must be a pure scheduling change.
-//!
-//! `Sweep` fans every (workload × configuration) pair out as an
-//! independent job over the worker threads. These tests pin the two
-//! properties that make its results trustworthy:
-//!
-//! 1. **Identity** — every grid cell is bit-identical to a solo
-//!    `Processor` run of the same configuration over the same workload,
-//!    across both engines, fast-forward on and off, and under a cycle
-//!    budget (`budget_exhausted` included).
-//! 2. **Baseline agreement** — the grid lands exactly on the committed
-//!    `bench/baseline.json` cycle counts.
+//! Sweep baseline gate: the grid executor, which fans every (workload ×
+//! configuration) pair out as an independent job over the worker threads,
+//! must land exactly on the committed `bench/baseline.json` cycle counts.
+//! Grid-vs-solo identity lives in `tests/lockstep.rs`.
 
-use koc_sim::{Processor, ProcessorConfig, SimStats, Suite, Sweep};
-use koc_workloads::{kernels, Workload};
-
-/// A solo run of `config` over `workload`, stopped at `budget` cycles.
-fn solo(config: ProcessorConfig, workload: &Workload, budget: Option<u64>) -> SimStats {
-    let mut processor = Processor::new(config, &workload.trace);
-    processor.advance_slice(usize::MAX, u64::MAX, budget);
-    processor.finish().0
-}
-
-#[test]
-fn sweep_grid_matches_solo_processor_runs_bit_for_bit() {
-    // Both engines at two sizes each, so the grid mixes cheap and costly
-    // cells; pointer_chase is slow enough to exhaust the budget while the
-    // streaming kernels finish under it.
-    let grid = [
-        ProcessorConfig::baseline(64, 250),
-        ProcessorConfig::baseline(128, 250),
-        ProcessorConfig::cooo(32, 512, 250),
-        ProcessorConfig::cooo(16, 256, 250),
-    ];
-    let mut workloads = Suite::mlp_contrast().generate(1_000);
-    workloads.push(Workload::generate(
-        "stream_add",
-        kernels::stream_add(),
-        1_000,
-    ));
-    let (mut exhausted, mut completed) = (0, 0);
-    for fast_forward in [true, false] {
-        let configs: Vec<ProcessorConfig> = grid
-            .iter()
-            .map(|c| c.with_fast_forward(fast_forward))
-            .collect();
-        for budget in [None, Some(20_000)] {
-            let mut sweep = Sweep::over(configs.iter().copied());
-            if let Some(cycles) = budget {
-                sweep = sweep.cycle_budget(cycles);
-            }
-            let results = sweep.run_on(&workloads);
-            assert_eq!(results.len(), configs.len());
-            for (result, config) in results.iter().zip(&configs) {
-                assert_eq!(result.config, *config, "result order must be input order");
-                assert_eq!(result.per_workload.len(), workloads.len());
-                for (cell, workload) in result.per_workload.iter().zip(&workloads) {
-                    assert_eq!(cell.workload, workload.name);
-                    assert_eq!(
-                        cell.stats,
-                        solo(*config, workload, budget),
-                        "{} under {config:?} (budget {budget:?}) must match its solo run",
-                        workload.name
-                    );
-                    if budget.is_some() {
-                        if cell.stats.budget_exhausted {
-                            exhausted += 1;
-                        } else {
-                            completed += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(
-        exhausted > 0 && completed > 0,
-        "the budget must cap some cells and spare others ({exhausted} capped, {completed} complete)"
-    );
-}
+use koc_sim::Sweep;
 
 /// The committed `bench/baseline.json` cycle counts for both canonical
 /// engines over the full quick suite, pinned in-source: a sweep must land
