@@ -1,9 +1,11 @@
 //! Criterion benchmark for the Figure 7 experiment (live-instruction
 //! distribution). Prints the reduced-trace report once, then times the
-//! instrumented 2048-entry baseline run.
+//! instrumented 2048-entry baseline run: the run with the `LiveBreakdown`
+//! observer attached, as the experiment runs it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use koc_bench::{experiments::fig07_live, BENCH_TRACE_LEN};
+use koc_bench::experiments::fig07_live::{self, LiveBreakdown};
+use koc_bench::BENCH_TRACE_LEN;
 use koc_sim::{Processor, ProcessorConfig};
 use koc_workloads::{kernels, Workload};
 
@@ -15,7 +17,11 @@ fn bench_fig07(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig07_live");
     group.sample_size(10);
     group.bench_function("baseline_2048_lat500", |b| {
-        b.iter(|| Processor::new(ProcessorConfig::baseline(2048, 500), &w.trace).run())
+        b.iter(|| {
+            let obs = LiveBreakdown::new(&w.trace);
+            Processor::with_observer(ProcessorConfig::baseline(2048, 500), &w.trace, obs)
+                .run_observed()
+        })
     });
     group.finish();
 }

@@ -140,9 +140,6 @@ pub fn stats_rows(stats: &SimStats) -> Vec<(String, String)> {
     push("budget_exhausted", stats.budget_exhausted.to_string());
 
     distribution_rows("inflight", &stats.inflight, &mut rows);
-    distribution_rows("live", &stats.live, &mut rows);
-    distribution_rows("live_long", &stats.live_long, &mut rows);
-    distribution_rows("live_short", &stats.live_short, &mut rows);
 
     let mut push = |name: &str, value: String| rows.push((name.to_string(), value));
     for &class in RetireClass::all() {
@@ -387,9 +384,6 @@ mod tests {
             "replay_window_peak",
             "budget_exhausted",
             "inflight.mean",
-            "live.mean",
-            "live_long.mean",
-            "live_short.mean",
             "retire_breakdown.Moved",
             "branches.predicted",
             "branches.mispredicted",

@@ -53,7 +53,7 @@ fn write_event(out: &mut String, cycle: u64, ev: Event) {
             out,
             "{{\"cycle\":{cycle},\"type\":\"dispatch\",\"inst\":{inst},\"ckpt\":{ckpt}}}"
         ),
-        Event::Issue { inst } => {
+        Event::Issue { inst, .. } => {
             write!(
                 out,
                 "{{\"cycle\":{cycle},\"type\":\"issue\",\"inst\":{inst}}}"
@@ -166,7 +166,7 @@ impl PipelineTracer {
                 Event::Dispatch { inst, .. } => {
                     transition(&mut out, &kid_of, &mut stage, inst, "Wa");
                 }
-                Event::Issue { inst } => {
+                Event::Issue { inst, .. } => {
                     transition(&mut out, &kid_of, &mut stage, inst, "Ex");
                 }
                 Event::SliqMove { inst } => {
@@ -240,7 +240,13 @@ mod tests {
         );
         t.event(1, Event::Rename { inst: 0 });
         t.event(1, Event::Dispatch { inst: 0, ckpt: 0 });
-        t.event(2, Event::Issue { inst: 0 });
+        t.event(
+            2,
+            Event::Issue {
+                inst: 0,
+                long: false,
+            },
+        );
         t.event(4, Event::Complete { inst: 0 });
         t.event(5, Event::Commit { inst: 0 });
         t
@@ -319,7 +325,13 @@ mod tests {
         // Past 2^53: must stay exact (the reader side is pinned in
         // tests/observability.rs via koc_isa::json).
         let mut t = PipelineTracer::new();
-        t.event(9_007_199_254_740_993, Event::Issue { inst: 1 });
+        t.event(
+            9_007_199_254_740_993,
+            Event::Issue {
+                inst: 1,
+                long: false,
+            },
+        );
         assert!(t.to_ptrace_json().contains("\"cycle\":9007199254740993"));
     }
 }

@@ -39,6 +39,9 @@ pub enum Event {
     Issue {
         /// Trace index of the instruction.
         inst: InstId,
+        /// Whether the instruction is a load serviced by main memory (an
+        /// L2 miss): a long-latency dependence source until it completes.
+        long: bool,
     },
     /// The instruction finished execution (write-back).
     Complete {

@@ -57,8 +57,12 @@ mod tests {
             },
         );
         t.event(3, Event::Dispatch { inst: 0, ckpt: 0 });
-        t.event(5, Event::Issue { inst: 0 });
+        let issue = Event::Issue {
+            inst: 0,
+            long: false,
+        };
+        t.event(5, issue);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.events()[2], (5, Event::Issue { inst: 0 }));
+        assert_eq!(t.events()[2], (5, issue));
     }
 }

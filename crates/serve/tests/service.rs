@@ -202,6 +202,29 @@ fn worker_panic_poisons_the_job_not_the_server() {
 }
 
 #[test]
+fn oversize_window_is_rejected_before_allocation_and_the_server_keeps_serving() {
+    let (handle, client, dir) = start("oversize", ServerConfig::default(), FaultPlan::default());
+    let oversize = JobSpec {
+        window: 1 << 40,
+        ..quick_job("cooo", "stream_add")
+    };
+    match client.submit(&oversize) {
+        Err(ClientError::Rejected {
+            kind: ErrorKind::BadRequest,
+            message,
+        }) => assert!(message.contains("limited to 65535"), "{message}"),
+        other => panic!("expected a structured bad-request error, got {other:?}"),
+    }
+    // The process did not abort on the allocation: the next job is served.
+    let job = quick_job("cooo", "stream_add");
+    let ok = client.submit(&job).expect("server kept serving");
+    let (cycles, _) = solo_truth(&job);
+    assert_eq!(ok.result.cycles, cycles);
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn queue_overflow_sheds_with_a_retry_hint_and_recovers() {
     let config = ServerConfig {
         workers: 1,

@@ -244,18 +244,15 @@ impl ProcessorConfig {
         if self.iq_size == 0 {
             return Err("instruction queues must have at least one entry".into());
         }
+        bounded("instruction queue", self.iq_size)?;
         if self.lsq_size == 0 {
             return Err("load/store queue must have at least one entry".into());
         }
+        bounded("load/store queue", self.lsq_size)?;
         if self.registers.rename_pool_size() < 64 {
             return Err("register pool must cover at least the 64 logical registers".into());
         }
-        if self.registers.rename_pool_size() > 65_535 {
-            // The sampling structures pack register ids into 16 bits and
-            // reserve u16::MAX as a sentinel; the paper's "pseudo-perfect"
-            // pool is 4096, so this is far above any modelled configuration.
-            return Err("register pool is limited to 65535 registers".into());
-        }
+        bounded("register pool", self.registers.rename_pool_size())?;
         if let CommitConfig::Checkpointed {
             checkpoint_entries,
             pseudo_rob_size,
@@ -266,20 +263,41 @@ impl ProcessorConfig {
             if *checkpoint_entries == 0 {
                 return Err("checkpoint table must have at least one entry".into());
             }
+            bounded("checkpoint table", *checkpoint_entries)?;
             if *pseudo_rob_size == 0 {
                 return Err("pseudo-ROB must have at least one entry".into());
             }
+            bounded("pseudo-ROB", *pseudo_rob_size)?;
             if sliq.capacity == 0 || sliq.wake_width == 0 {
                 return Err("SLIQ capacity and wake width must be non-zero".into());
             }
+            bounded("SLIQ", sliq.capacity)?;
         }
         if let CommitConfig::InOrderRob { rob_size } = &self.commit {
             if *rob_size == 0 {
                 return Err("reorder buffer must have at least one entry".into());
             }
+            bounded("reorder buffer", *rob_size)?;
         }
         Ok(())
     }
+}
+
+/// Upper bound on the entries of every sized structure: register pool,
+/// instruction and load/store queues, ROB, pseudo-ROB, SLIQ and checkpoint
+/// table. Structures are allocated up front, and configurations can arrive
+/// from outside the program (a `koc-serve` job spec), so an unchecked size
+/// would abort the whole process on allocation instead of failing
+/// validation. The paper's largest window is 4096 entries.
+const MAX_ENTRIES: usize = 65_535;
+
+fn bounded(structure: &str, entries: usize) -> Result<(), String> {
+    if entries > MAX_ENTRIES {
+        return Err(format!(
+            "{structure} is limited to {MAX_ENTRIES} entries (got {entries})"
+        ));
+    }
+    Ok(())
 }
 
 impl Default for ProcessorConfig {
@@ -429,5 +447,45 @@ mod tests {
         let mut c = ProcessorConfig::table1();
         c.registers = RegisterModel::Conventional { phys_regs: 32 };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn oversize_structures_are_rejected_before_allocation() {
+        let huge = 1usize << 40;
+        let limit = |c: ProcessorConfig| c.validate().expect_err("oversize must be rejected");
+        assert!(limit(ProcessorConfig::baseline(huge, 1000)).contains("limited to 65535"));
+        assert!(limit(ProcessorConfig::cooo(huge, 2048, 1000)).contains("instruction queue"));
+        let mut c = ProcessorConfig::cooo(128, 2048, 1000);
+        if let CommitConfig::Checkpointed {
+            pseudo_rob_size, ..
+        } = &mut c.commit
+        {
+            *pseudo_rob_size = MAX_ENTRIES + 1;
+        }
+        assert!(limit(c).contains("pseudo-ROB"));
+        assert!(limit(ProcessorConfig::cooo(128, huge, 1000)).contains("SLIQ"));
+        assert!(
+            limit(ProcessorConfig::cooo(128, 2048, 1000).with_checkpoints(huge))
+                .contains("checkpoint table")
+        );
+        let mut c = ProcessorConfig::baseline(128, 1000);
+        c.lsq_size = MAX_ENTRIES + 1;
+        assert!(limit(c).contains("load/store queue"));
+        let mut c = ProcessorConfig::baseline(128, 1000);
+        c.commit = CommitConfig::InOrderRob {
+            rob_size: MAX_ENTRIES + 1,
+        };
+        assert!(limit(c).contains("reorder buffer"));
+        c.registers = RegisterModel::Conventional {
+            phys_regs: MAX_ENTRIES + 1,
+        };
+        assert!(limit(c).contains("register pool"));
+        // The bound itself is inclusive.
+        let mut c = ProcessorConfig::baseline(MAX_ENTRIES, 1000);
+        c.lsq_size = MAX_ENTRIES;
+        c.registers = RegisterModel::Conventional {
+            phys_regs: MAX_ENTRIES,
+        };
+        assert!(c.validate().is_ok());
     }
 }

@@ -41,10 +41,6 @@ use koc_mem::{MemLevel, MemoryHierarchy, TimedAccess};
 use koc_obs::{CycleBucket, CycleSample, Event, NullObserver, Observer};
 use std::collections::BTreeMap;
 
-/// Interval (in cycles) at which the expensive live-instruction breakdown
-/// (Figure 7) is sampled.
-const LIVE_SAMPLE_INTERVAL: u64 = 32;
-
 /// Why dispatch stopped this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StallReason {
@@ -292,11 +288,6 @@ pub struct Processor<'a, O: Observer = NullObserver> {
     /// membership tests only, never iterated (hash order must not reach
     /// simulated timing).
     handled_exceptions: koc_core::FlatMap<()>,
-    /// Scratch for the Figure-7 breakdown: `long_marks[p] == long_epoch`
-    /// means physical register `p` carries a long-latency dependence in the
-    /// current sample (epoch stamping avoids clearing between samples).
-    long_marks: Vec<u64>,
-    long_epoch: u64,
 
     stats: SimStats,
 }
@@ -397,8 +388,6 @@ impl<'a, O: Observer> Processor<'a, O> {
             fetch_stall_until: 0,
             live_count: 0,
             handled_exceptions: koc_core::FlatMap::default(),
-            long_marks: vec![0; rename_pool],
-            long_epoch: 0,
             stats: SimStats::default(),
             config,
             obs,
@@ -577,7 +566,7 @@ impl<'a, O: Observer> Processor<'a, O> {
         progressed |= self.issue_stage();
         let (front_progress, stall) = self.frontend_stage();
         progressed |= front_progress;
-        self.sample_stats();
+        self.stats.inflight.record(self.inflight.len());
         if O::ENABLED {
             let committed_delta = self.stats.committed_instructions - committed_before;
             let sample = self.cycle_sample(self.cycle, committed_delta, stall);
@@ -683,15 +672,6 @@ impl<'a, O: Observer> Processor<'a, O> {
             None => {}
         }
         self.stats.inflight.record_n(self.inflight.len(), skipped);
-        self.stats.live.record_n(self.live_count, skipped);
-        let samples = target / LIVE_SAMPLE_INTERVAL - self.cycle / LIVE_SAMPLE_INTERVAL;
-        if samples > 0 {
-            // The window is frozen, so every skipped sample point sees the
-            // same breakdown.
-            let (long, short) = self.live_breakdown();
-            self.stats.live_long.record_n(long, samples);
-            self.stats.live_short.record_n(short, samples);
-        }
         if O::ENABLED {
             // The machine is frozen across the gap, so one sample describes
             // every skipped cycle; observers replay it `skipped` times.
@@ -782,7 +762,6 @@ impl<'a, O: Observer> Processor<'a, O> {
                 dest_phys: fl.dest_phys,
             };
             let mispredicted = fl.mispredicted;
-            self.inflight.mark_done(inst);
             if let Some(p) = wb.dest_phys {
                 self.regs.set_ready(p);
                 self.int_iq.wakeup(p);
@@ -887,10 +866,9 @@ impl<'a, O: Observer> Processor<'a, O> {
         fl.state = InstState::Executing { done_cycle: done };
         fl.mem_level = level;
         if O::ENABLED {
-            self.obs.event(self.cycle, Event::Issue { inst });
+            let long = trace_inst.kind == OpKind::Load && level == Some(MemLevel::Memory);
+            self.obs.event(self.cycle, Event::Issue { inst, long });
         }
-        let long = trace_inst.kind == OpKind::Load && level == Some(MemLevel::Memory);
-        self.inflight.mark_issued(inst, long);
         self.live_count = self.live_count.saturating_sub(1);
         if completion.is_some() {
             self.events.push(done, (inst, seq));
@@ -1007,17 +985,13 @@ impl<'a, O: Observer> Processor<'a, O> {
         let prev_phys = renamed.and_then(|r| r.prev_phys);
 
         // --- Branch prediction ---------------------------------------------
-        let (predicted, mispredicted) = if let Some(b) = inst.branch {
-            if b.unconditional {
-                (Some(true), false)
-            } else {
-                let correct =
-                    self.predictor
-                        .predict_and_train(inst.pc, b.taken, &mut self.stats.branches);
-                (Some(if correct { b.taken } else { !b.taken }), !correct)
+        let mispredicted = match inst.branch {
+            Some(b) if !b.unconditional => {
+                !self
+                    .predictor
+                    .predict_and_train(inst.pc, b.taken, &mut self.stats.branches)
             }
-        } else {
-            (None, false)
+            _ => false,
         };
 
         // --- Structure allocation ------------------------------------------
@@ -1073,9 +1047,7 @@ impl<'a, O: Observer> Processor<'a, O> {
                 src_phys,
                 ckpt,
                 state: InstState::Waiting,
-                dispatch_cycle: self.cycle,
                 mem_level: None,
-                predicted_taken: predicted,
                 mispredicted,
                 raises_exception: inst.raises_exception
                     && !self.handled_exceptions.contains_key(id),
@@ -1098,32 +1070,6 @@ impl<'a, O: Observer> Processor<'a, O> {
                 .event(self.cycle, Event::Dispatch { inst: id, ckpt });
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Statistics sampling
-    // ------------------------------------------------------------------
-
-    fn sample_stats(&mut self) {
-        self.stats.inflight.record(self.inflight.len());
-        self.stats.live.record(self.live_count);
-        if self.cycle.is_multiple_of(LIVE_SAMPLE_INTERVAL) {
-            let (long, short) = self.live_breakdown();
-            self.stats.live_long.record(long);
-            self.stats.live_short.record(short);
-        }
-    }
-
-    /// Splits the live (not yet issued) instructions into blocked-long and
-    /// blocked-short, following Figure 7's definition: blocked-long means the
-    /// instruction is a load that missed in L2 or (transitively) depends on
-    /// one. Delegates to the in-flight table's compact sample mirror with
-    /// the epoch-stamped scratch marks, so sampling allocates nothing and
-    /// touches ~20 bytes per window slot.
-    fn live_breakdown(&mut self) -> (usize, usize) {
-        self.long_epoch += 1;
-        self.inflight
-            .sample_breakdown(&mut self.long_marks, self.long_epoch)
     }
 }
 

@@ -6,8 +6,8 @@ use koc_mem::MemoryStats;
 use serde::{Deserialize, Serialize};
 
 /// A streaming distribution of per-cycle samples with percentile queries
-/// (used for Figure 7's live-instruction distribution and Figure 11's
-/// in-flight counts).
+/// (Figure 11's in-flight counts here; Figure 7's live-instruction
+/// breakdown in the `koc-bench` observer that records it).
 ///
 /// Stored as a histogram indexed by sample value — occupancy samples are
 /// small integers bounded by the window size — so memory is O(max value)
@@ -83,17 +83,6 @@ impl Distribution {
             }
         }
         self.max()
-    }
-
-    /// The percentiles reported by Figure 7: 10 / 25 / 50 / 75 / 90.
-    pub fn figure7_percentiles(&self) -> [usize; 5] {
-        [
-            self.percentile(0.10),
-            self.percentile(0.25),
-            self.percentile(0.50),
-            self.percentile(0.75),
-            self.percentile(0.90),
-        ]
     }
 }
 
@@ -174,12 +163,6 @@ pub struct SimStats {
     pub sliq_high_water: usize,
     /// Per-cycle number of in-flight (dispatched, not committed) instructions.
     pub inflight: Distribution,
-    /// Per-cycle number of live (dispatched, not yet issued) instructions.
-    pub live: Distribution,
-    /// Per-cycle live instructions blocked on long-latency loads.
-    pub live_long: Distribution,
-    /// Per-cycle live instructions waiting on short-latency work.
-    pub live_short: Distribution,
     /// Pseudo-ROB retirement breakdown (Figure 12).
     pub retire_breakdown: RetireBreakdown,
     /// Branch-prediction statistics.
@@ -250,8 +233,8 @@ mod tests {
         assert_eq!(d.percentile(1.0), 100);
         assert_eq!(d.percentile(0.5), 51);
         assert_eq!(d.max(), 100);
-        let p = d.figure7_percentiles();
-        assert!(p[0] < p[2] && p[2] < p[4]);
+        assert!(d.percentile(0.10) < d.percentile(0.50));
+        assert!(d.percentile(0.50) < d.percentile(0.90));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Smoke tests for the statistics the experiment harness relies on: the
 //! figure-specific outputs exist and behave sensibly on small runs.
 
+use koc_bench::experiments::fig07_live::{LiveBreakdown, PERCENTILES};
 use koc_core::RetireClass;
 use koc_sim::{Processor, ProcessorConfig, RegisterModel, SimStats};
 use koc_workloads::{kernels, Workload};
@@ -16,17 +17,31 @@ fn workload() -> Workload {
 #[test]
 fn figure7_distributions_are_recorded() {
     let w = workload();
-    let stats = run_trace(ProcessorConfig::baseline(2048, 500), &w.trace);
-    let p = stats.inflight.figure7_percentiles();
-    assert!(p[0] <= p[1] && p[1] <= p[2] && p[2] <= p[3] && p[3] <= p[4]);
+    let (stats, live) = Processor::with_observer(
+        ProcessorConfig::baseline(2048, 500),
+        &w.trace,
+        LiveBreakdown::new(&w.trace),
+    )
+    .run_observed();
+    let p: Vec<usize> = PERCENTILES
+        .iter()
+        .map(|&(_, p)| stats.inflight.percentile(p))
+        .collect();
+    assert!(p.windows(2).all(|w| w[0] <= w[1]), "{p:?}");
     assert!(
-        stats.live.mean() <= stats.inflight.mean(),
+        live.live.mean() <= stats.inflight.mean(),
         "live instructions are a subset of in-flight"
     );
+    assert_eq!(
+        live.live.count() as u64,
+        stats.cycles,
+        "one sample per cycle"
+    );
     assert!(
-        stats.live_long.count() > 0,
+        live.blocked_long.count() > 0,
         "the long/short breakdown is sampled"
     );
+    assert_eq!(live.blocked_long.count(), live.blocked_short.count());
 }
 
 #[test]

@@ -7,13 +7,15 @@
 //!    to the unobserved run, in both ingestion modes, against the committed
 //!    `bench/baseline.json` cycle counts.
 //! 2. **Gap-replay exactness** — the event-driven fast-forward replays
-//!    observer samples for skipped cycles exactly: traces, timelines and
-//!    bucket counts match the per-cycle-stepping run event for event.
+//!    observer samples for skipped cycles exactly: traces, timelines,
+//!    bucket counts and the Figure 7 live breakdown match the
+//!    per-cycle-stepping run event for event.
 //! 3. **Format stability** — the `koc-ptrace/1` and Kanata renderings of a
 //!    tiny deterministic kernel are pinned as golden fixtures, and the
 //!    `koc-timeline/1` JSON round-trips through the workspace parser at
 //!    full u64 precision (including values above 2^53).
 
+use koc_bench::experiments::fig07_live::LiveBreakdown;
 use koc_bench::harness::{engines, specs, QUICK_TRACE_LEN};
 use koc_isa::json::{parse_json, Json};
 use koc_isa::{ArchReg, TraceBuilder};
@@ -93,12 +95,15 @@ fn fast_forward_replays_observer_streams_exactly() {
         let run = |config: ProcessorConfig| {
             let obs = (
                 PipelineTracer::new(),
-                (TimelineRecorder::new(128), CycleAccounting::new()),
+                (
+                    TimelineRecorder::new(128),
+                    (CycleAccounting::new(), LiveBreakdown::new(&w.trace)),
+                ),
             );
             Processor::with_observer(config, &w.trace, obs).run_observed()
         };
-        let (fast_stats, (fast_trace, (fast_timeline, fast_acct))) = run(config);
-        let (slow_stats, (slow_trace, (slow_timeline, slow_acct))) =
+        let (fast_stats, (fast_trace, (fast_timeline, (fast_acct, fast_live)))) = run(config);
+        let (slow_stats, (slow_trace, (slow_timeline, (slow_acct, slow_live)))) =
             run(config.with_fast_forward(false));
         assert_eq!(fast_stats, slow_stats, "{engine}: stats must match");
         assert_eq!(
@@ -117,6 +122,23 @@ fn fast_forward_replays_observer_streams_exactly() {
             "{engine}: bucket counts must replay exactly across gaps"
         );
         assert_eq!(fast_acct.buckets().total(), fast_stats.cycles);
+        assert_eq!(
+            (
+                &fast_live.live,
+                &fast_live.blocked_long,
+                &fast_live.blocked_short
+            ),
+            (
+                &slow_live.live,
+                &slow_live.blocked_long,
+                &slow_live.blocked_short
+            ),
+            "{engine}: the Figure 7 breakdown must replay exactly across gaps"
+        );
+        assert!(
+            fast_live.blocked_long.count() > 0,
+            "{engine}: breakdown sampled"
+        );
     }
 }
 
